@@ -11,11 +11,9 @@
 //	reprobench -sf 0.01         # TPC-H scale factor
 //	reprobench -slices 60       # stream length for Figures 9/10
 //	reprobench -parallelism 4   # parallel pipeline workers during execution
-//	reprobench -fig layouts     # columnar vs row batch layout, rows/sec
 //	reprobench -fig rescache    # semantic result cache, spool/probe vs uncached
 //	reprobench -fig drift       # drift adaptation trajectory via the event plane
 //	reprobench -fig memory      # memory-bounded execution: unbounded vs budgeted spill
-//	reprobench -columnar=false  # run every figure through the row layout
 package main
 
 import (
@@ -28,7 +26,7 @@ import (
 )
 
 func main() {
-	fig := flag.String("fig", "", "figure to run (4,5,6,7,8,9,10,small,ablation,layouts,rescache,drift,memory); empty = all")
+	fig := flag.String("fig", "", "figure to run (4,5,6,7,8,9,10,small,ablation,rescache,drift,memory); empty = all")
 	table := flag.String("table", "", "table to run (3); empty = all")
 	sf := flag.Float64("sf", 0.005, "TPC-H scale factor")
 	seed := flag.Uint64("seed", 42, "generator seed")
@@ -36,14 +34,11 @@ func main() {
 	repeats := flag.Int("repeats", 5, "timing repetitions (minimum is reported)")
 	parallelism := flag.Int("parallelism", 1,
 		"executor pipeline workers wherever plans execute; <= 1 keeps execution serial (the paper's setting)")
-	columnar := flag.Bool("columnar", true,
-		"execute with columnar batches; false A/Bs the row-at-a-time layout behind the batch adapter")
 	flag.Parse()
 
 	env := bench.NewEnv(tpch.Config{ScaleFactor: *sf, Seed: *seed})
 	env.Repeats = *repeats
 	env.Parallelism = *parallelism
-	env.DisableColumnar = !*columnar
 
 	all := *fig == "" && *table == ""
 	show := func(ts ...*bench.Table) {
@@ -82,9 +77,6 @@ func main() {
 	if all || *fig == "ablation" {
 		show(env.AblationSearchOrder(), env.AblationPlanSpace())
 	}
-	if all || *fig == "layouts" {
-		show(env.ExecLayouts())
-	}
 	if all || *fig == "rescache" {
 		show(env.ResultCache())
 	}
@@ -96,7 +88,7 @@ func main() {
 	}
 	if !all && *fig != "" {
 		switch *fig {
-		case "4", "5", "6", "7", "8", "9", "10", "small", "ablation", "layouts", "rescache", "drift", "memory":
+		case "4", "5", "6", "7", "8", "9", "10", "small", "ablation", "rescache", "drift", "memory":
 		default:
 			fmt.Fprintf(os.Stderr, "unknown figure %q\n", *fig)
 			os.Exit(2)

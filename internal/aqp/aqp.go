@@ -74,11 +74,6 @@ type Config struct {
 	// Feedback cardinalities are exact at any setting, so the adaptive
 	// loop is unaffected by the parallelism choice.
 	Parallelism int
-	// DisableColumnar executes slices through the row-at-a-time engine
-	// behind a batch adapter instead of the columnar operators — the
-	// layout A/B switch, forwarded to exec.Compiler. Feedback
-	// cardinalities are identical either way.
-	DisableColumnar bool
 	// MemBudgetBytes bounds each slice execution's tracked memory,
 	// forwarded to exec.Compiler: hash joins and aggregations spill under
 	// grace hashing instead of exceeding it. Feedback cardinalities are
@@ -198,8 +193,7 @@ func (c *Controller) RunSlice(data func(rel int) [][]int64) (SliceResult, error)
 	// collect actual cardinalities.
 	start = time.Now()
 	comp := &exec.Compiler{Q: c.cfg.Query, Cat: c.cfg.Cat, Data: data,
-		Parallelism: c.cfg.Parallelism, DisableColumnar: c.cfg.DisableColumnar,
-		MemBudgetBytes: c.cfg.MemBudgetBytes}
+		Parallelism: c.cfg.Parallelism, MemBudgetBytes: c.cfg.MemBudgetBytes}
 	v, stats, err := comp.CompileVec(plan)
 	if err != nil {
 		return res, err

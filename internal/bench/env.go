@@ -33,11 +33,6 @@ type Env struct {
 	// setting). Exposed on the reprobench CLI as -parallelism.
 	Parallelism int
 
-	// DisableColumnar routes every plan execution through the
-	// row-at-a-time engine behind a batch adapter instead of the columnar
-	// operators — the layout A/B switch behind reprobench -columnar=false.
-	DisableColumnar bool
-
 	census map[string]census
 }
 

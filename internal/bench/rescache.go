@@ -35,8 +35,7 @@ func (e *Env) ResultCache() *Table {
 		fper := relalg.NewFingerprinter(q)
 		cands := exec.BuildCacheCandidates(q, vr.Plan, fper, 0)
 		run := func(cache *rescache.Cache) {
-			comp := &exec.Compiler{Q: q, Cat: e.Cat,
-				Parallelism: e.Parallelism, DisableColumnar: e.DisableColumnar,
+			comp := &exec.Compiler{Q: q, Cat: e.Cat, Parallelism: e.Parallelism,
 				Cache: cache, CacheCands: cands}
 			v, _, err := comp.CompileVec(vr.Plan)
 			if err != nil {

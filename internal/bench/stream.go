@@ -21,7 +21,6 @@ func (e *Env) streamRun(cfg aqp.Config, seed uint64, cars int, slices int, slice
 	cfg.Params = e.Params
 	cfg.Space = e.Space
 	cfg.Parallelism = e.Parallelism
-	cfg.DisableColumnar = e.DisableColumnar
 	if cfg.Pruning == (core.Pruning{}) {
 		cfg.Pruning = core.PruneAll
 	}

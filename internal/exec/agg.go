@@ -13,8 +13,8 @@ type AggSpecExec struct {
 	CountDistinct []int
 }
 
-// aggTable is the grouping core shared by the row-at-a-time, vectorized and
-// parallel hash aggregation operators: an open-addressing table of 1-based
+// aggTable is the grouping core shared by the serial, spilling and parallel
+// hash aggregation operators: an open-addressing table of 1-based
 // group ids hashed directly on the int64 group-key columns, with all group
 // state (keys, sums, counts) in flat arrays. Adding a row allocates nothing
 // beyond amortized slice growth — no per-row key string, no per-group
@@ -57,17 +57,6 @@ func newAggTable(spec AggSpecExec) *aggTable {
 	return t
 }
 
-func (t *aggTable) add(r Row) {
-	g := t.findOrCreate(hashCols(r, t.spec.GroupBy), r)
-	for i, c := range t.spec.Sums {
-		t.sums[g*t.sw+i] += r[c]
-	}
-	t.counts[g]++
-	for i, c := range t.spec.CountDistinct {
-		t.distinct[g*t.dw+i][r[c]] = struct{}{}
-	}
-}
-
 // aggScratch is the reusable per-consumer scratch of the columnar
 // aggregation path: the batch hash vector and the resolved group id per
 // live row. One instance per serial consumer or pipeline worker.
@@ -78,10 +67,10 @@ type aggScratch struct {
 
 // addBatch folds a column-major chunk (cols[c] holding rows 0..n-1, live
 // rows given by sel) into the table: group-key hashes are computed with one
-// column pass per key (bit-identical to hashCols, so merge stays
-// compatible), group ids are resolved once per row, and each accumulator
-// column is then updated in its own tight loop over the chunk — column
-// locality on both the input and the flat sums array.
+// column pass per key (hashLive, the one hash every table uses, so
+// mergeFrom can reuse stored hashes), group ids are resolved once per row,
+// and each accumulator column is then updated in its own tight loop over
+// the chunk — column locality on both the input and the flat sums array.
 func (t *aggTable) addBatch(cols [][]int64, n int, sel []int, s *aggScratch) {
 	s.hashes = hashLive(s.hashes, cols, t.spec.GroupBy, n, sel)
 	m := len(s.hashes)
@@ -211,8 +200,9 @@ func (t *aggTable) resolveGids(cols [][]int64, n int, sel []int, s *aggScratch) 
 	}
 }
 
-// findOrCreateCols is findOrCreate with the probe row read out of a
-// column-major chunk. h must be the hash of row i's group-key columns.
+// findOrCreateCols returns the group id of row i of a column-major chunk,
+// creating the group if absent. h must be the hash of row i's group-key
+// columns.
 func (t *aggTable) findOrCreateCols(h uint64, cols [][]int64, i int) int {
 	for s := h & t.mask; ; s = (s + 1) & t.mask {
 		gi := t.slots[s]
@@ -251,33 +241,9 @@ func (t *aggTable) findOrCreateCols(h uint64, cols [][]int64, i int) int {
 	}
 }
 
-// findOrCreate returns the group id of r's key columns, creating the group
-// if absent. h must be hashCols(r, spec.GroupBy).
-func (t *aggTable) findOrCreate(h uint64, r Row) int {
-	for s := h & t.mask; ; s = (s + 1) & t.mask {
-		gi := t.slots[s]
-		if gi == 0 {
-			return t.newGroup(s, h, r, t.spec.GroupBy)
-		}
-		g := int(gi - 1)
-		if t.hashes[g] != h {
-			continue
-		}
-		eq := true
-		for i, c := range t.spec.GroupBy {
-			if t.keys[g*t.gw+i] != r[c] {
-				eq = false
-				break
-			}
-		}
-		if eq {
-			return g
-		}
-	}
-}
-
-// findOrCreateKey is findOrCreate over an already-extracted flat key (the
-// merge path, where the source group's hash is reused verbatim).
+// findOrCreateKey returns the group id of an already-extracted flat key,
+// creating the group if absent (the merge path, where the source group's
+// hash is reused verbatim).
 func (t *aggTable) findOrCreateKey(h uint64, key []int64) int {
 	for s := h & t.mask; ; s = (s + 1) & t.mask {
 		gi := t.slots[s]
@@ -365,8 +331,17 @@ func (t *aggTable) mergeFrom(o *aggTable) {
 
 // rows renders the groups as output rows in deterministic (sorted group
 // key) order: group-by columns, SUMs, COUNT(*) if requested, then
-// COUNT(DISTINCT) values.
+// COUNT(DISTINCT) values. A scalar aggregate (no GROUP BY) yields exactly
+// one row even over empty input: the engine has no NULLs, so its SUMs,
+// COUNT(*) and COUNT(DISTINCT) values are all 0 there.
 func (t *aggTable) rows() []Row {
+	if t.n == 0 && t.gw == 0 {
+		w := t.sw + t.dw
+		if t.spec.CountAll {
+			w++
+		}
+		return []Row{make(Row, w)}
+	}
 	out := make([]Row, 0, t.n)
 	for g := 0; g < t.n; g++ {
 		row := make(Row, 0, t.gw+t.sw+1+t.dw)
@@ -384,54 +359,6 @@ func (t *aggTable) rows() []Row {
 	return out
 }
 
-type hashAggOp struct {
-	in   Iterator
-	spec AggSpecExec
-	out  []Row
-	pos  int
-}
-
-// NewHashAgg returns a blocking hash aggregation. Output rows are the
-// group-by columns followed by SUM values, COUNT(*) if requested, then
-// COUNT(DISTINCT) values, in deterministic (sorted group key) order.
-func NewHashAgg(in Iterator, spec AggSpecExec) Iterator {
-	return &hashAggOp{in: in, spec: spec}
-}
-
-func (a *hashAggOp) Open() error {
-	t := newAggTable(a.spec)
-	if err := a.in.Open(); err != nil {
-		return err
-	}
-	for {
-		r, ok, err := a.in.Next()
-		if err != nil {
-			return errors.Join(err, a.in.Close())
-		}
-		if !ok {
-			break
-		}
-		t.add(r)
-	}
-	if err := a.in.Close(); err != nil {
-		return err
-	}
-	a.out = t.rows()
-	a.pos = 0
-	return nil
-}
-
-func (a *hashAggOp) Next() (Row, bool, error) {
-	if a.pos >= len(a.out) {
-		return nil, false, nil
-	}
-	r := a.out[a.pos]
-	a.pos++
-	return r, true, nil
-}
-
-func (a *hashAggOp) Close() error { a.out = nil; return nil }
-
 // ---- vectorized hash aggregation ----
 
 type vecHashAggOp struct {
@@ -443,10 +370,10 @@ type vecHashAggOp struct {
 	batch Batch
 }
 
-// NewVecHashAgg is the vectorized counterpart of NewHashAgg: it consumes
-// its input batch-at-a-time through aggTable.addBatch (columnar group-key
+// NewVecHashAgg returns a blocking hash aggregation. It consumes its input
+// batch-at-a-time through aggTable.addBatch (columnar group-key
 // hashing and per-column accumulator loops) and emits the aggregated groups
-// as dense column windows in the same deterministic order.
+// as dense column windows in aggTable.rows() order.
 func NewVecHashAgg(in VecIterator, spec AggSpecExec) VecIterator {
 	return &vecHashAggOp{in: in, spec: spec}
 }

@@ -45,6 +45,26 @@ func (t *baselineAggTable) add(r Row) {
 	st.count++
 }
 
+// addCols folds a column-major row set into t batch by batch, the way the
+// aggregation operators feed it.
+func addCols(t *aggTable, d colData, s *aggScratch) {
+	win := make([][]int64, len(d.cols))
+	for lo := 0; lo < d.n; lo += BatchSize {
+		hi := min(lo+BatchSize, d.n)
+		for c := range win {
+			win[c] = d.cols[c][lo:hi]
+		}
+		t.addBatch(win, hi-lo, nil, s)
+	}
+}
+
+// addRows folds row-major rows into t through addCols.
+func addRows(t *aggTable, rows []Row) {
+	if len(rows) > 0 {
+		addCols(t, transposeRows(rowsAsRaw(rows), len(rows[0])), &aggScratch{})
+	}
+}
+
 // aggBenchRows builds an aggregation-heavy input: 200k rows over a few
 // hundred groups, the shape where per-row key allocation dominates.
 func aggBenchRows() []Row {
@@ -60,15 +80,15 @@ func aggBenchRows() []Row {
 // TestAggTableMatchesKeyStringBaseline uses the retained baseline as an
 // independent oracle for the flat table: the two implementations share no
 // hashing or probing code, so a collision-handling or growth bug in the
-// open-addressing table (which the row-vs-vec differential cannot see —
-// both paths share the flat table) would surface here.
+// open-addressing table surfaces here directly, over far more groups than
+// the workload queries produce.
 func TestAggTableMatchesKeyStringBaseline(t *testing.T) {
 	rows := aggBenchRows()
 	spec := AggSpecExec{GroupBy: []int{0, 1}, Sums: []int{2, 3}, CountAll: true}
 	flat := newAggTable(spec)
 	base := &baselineAggTable{spec: spec, groups: map[string]*baselineAggState{}}
+	addRows(flat, rows)
 	for _, r := range rows {
-		flat.add(r)
 		base.add(r)
 	}
 	got := flat.rows()
@@ -96,12 +116,13 @@ func BenchmarkAggTable(b *testing.B) {
 	rows := aggBenchRows()
 	spec := AggSpecExec{GroupBy: []int{0, 1}, Sums: []int{2, 3}, CountAll: true}
 	b.Run("flat", func(b *testing.B) {
+		d := transposeRows(rowsAsRaw(rows), len(rows[0]))
+		var s aggScratch
 		b.ReportAllocs()
+		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			t := newAggTable(spec)
-			for _, r := range rows {
-				t.add(r)
-			}
+			addCols(t, d, &s)
 			if t.n == 0 {
 				b.Fatal("no groups")
 			}

@@ -198,16 +198,6 @@ func (d *colData) appendFrom(o colData) {
 	d.n += o.n
 }
 
-// row gathers row i into dst (grown as needed) — the row-compatibility
-// primitive; hot paths never call it.
-func (d *colData) row(dst Row, i int) Row {
-	dst = dst[:0]
-	for _, col := range d.cols {
-		dst = append(dst, col[i])
-	}
-	return dst
-}
-
 // transposeRows converts row-major data (the Compiler.Data override path
 // and test helpers) into columnar form.
 func transposeRows(rows [][]int64, arity int) colData {
@@ -252,71 +242,6 @@ func drainVecCols(in VecIterator) (colData, error) {
 		out.appendBatch(b)
 	}
 	return out, in.Close()
-}
-
-// ---- row compatibility shim ----
-
-type vecRowIter struct {
-	v     VecIterator
-	b     *Batch
-	i     int
-	alloc rowAlloc
-}
-
-// NewRowIterator adapts a vectorized operator tree to the row-at-a-time
-// Iterator interface, so Drain/Count and every legacy consumer keep working
-// on top of the columnar batch executor. Emitted rows are gathered out of
-// the batch into carved storage (one allocation per BatchSize rows) and may
-// be retained by the caller.
-func NewRowIterator(v VecIterator) Iterator { return &vecRowIter{v: v} }
-
-func (r *vecRowIter) Open() error { return r.v.Open() }
-
-func (r *vecRowIter) Next() (Row, bool, error) {
-	for {
-		if r.b != nil && r.i < r.b.Len() {
-			idx := r.i
-			if r.b.Sel != nil {
-				idx = r.b.Sel[r.i]
-			}
-			r.i++
-			row := r.alloc.row(r.b.Width())
-			for _, col := range r.b.Cols {
-				row = append(row, col[idx])
-			}
-			return row, true, nil
-		}
-		b, err := r.v.Next()
-		if err != nil {
-			return nil, false, err
-		}
-		if b == nil {
-			return nil, false, nil
-		}
-		r.b, r.i = b, 0
-	}
-}
-
-func (r *vecRowIter) Close() error { return r.v.Close() }
-
-// rowAlloc carves output rows out of BatchSize-rows chunks, amortizing one
-// allocation across a whole output batch. Carved rows are never reused, so
-// consumers may retain them.
-type rowAlloc struct {
-	buf []int64
-}
-
-func (a *rowAlloc) row(w int) Row {
-	if len(a.buf) < w {
-		n := BatchSize * w
-		if n < w {
-			n = w
-		}
-		a.buf = make([]int64, n)
-	}
-	r := Row(a.buf[0:0:w])
-	a.buf = a.buf[w:]
-	return r
 }
 
 // ---- vectorized scan ----

@@ -1,497 +1,38 @@
-// Package exec is a pipelined, pull-based query executor over in-memory
-// []int64 rows. It executes the physical plans produced by the optimizers —
-// table/index scans with pushed-down selections, hash join, sort-merge
-// join, index nested-loops join, sort, and hash aggregation — and collects
-// per-operator actual output cardinalities, which the adaptive layer feeds
-// back into incremental re-optimization (the paper's §5.2.2 "changes based
-// on real execution" and §5.4 loop).
+// Package exec is a vectorized, pull-based query executor over columnar
+// int64 data. It executes the physical plans produced by the optimizers —
+// table/index/segment scans with pushed-down selections, hash join,
+// sort-merge join, index nested-loops join, sort, and hash aggregation —
+// and collects per-operator actual output cardinalities, which the adaptive
+// layer feeds back into incremental re-optimization (the paper's §5.2.2
+// "changes based on real execution" and §5.4 loop).
 //
-// The primary execution model is vectorized and columnar: operators
-// implement VecIterator and exchange column-major batches — up to BatchSize
-// rows held as one contiguous []int64 per column, with a selection vector
-// for pushed-down predicates (batch.go). Leaf scans hand out zero-copy
-// column windows over column-major base-table storage (catalog.Columns),
-// so a filtering scan reads only the columns its conditions touch; the hot
-// kernels — per-operator predicate selection, vectorized multiplicative
-// hashing, join result stitching via Gather, flat-table aggregation — are
-// tight loops over contiguous slices dispatched once per batch (kernels.go,
-// exprkernels.go, vecjoin.go, agg.go). Batch column slices are recycled, so
-// consumers copy values out before the producer's next call; DrainVec and
-// the operator-internal materializing drains do exactly one such copy per
-// row. Under the compiler's Parallelism option, parallelism is morsel-driven and
-// extends across whole pipelines (pipeline.go): right-spine hash-join
-// chains over a large leaf scan fuse into a parallelPipelineOp whose
-// workers each run the full scan → probe cascade → partial-aggregate chain
-// privately — join tables are built once with a partitioned parallel insert
-// and shared read-only, aggregation state is worker-local in a flat
-// open-addressing aggTable (agg.go, no per-row key allocation), and partial
-// aggregates and exact per-operator cardinality counts merge once at the
-// end, so RunStats feedback is byte-identical at any parallelism. Plans
-// that don't match the pipeline shape fall back to morsel-driven parallel
-// leaf scans behind an exchange channel (parallel.go). The row-at-a-time
-// Iterator model below is kept both as a compatibility shim (NewRowIterator
-// adapts any vectorized tree, so Drain/Count work unchanged) and as a
-// differential baseline (Compiler.CompileRow) for testing and benchmarking
-// the vectorized path.
+// Operators implement VecIterator and exchange column-major batches — up to
+// BatchSize rows held as one contiguous []int64 per column, with a selection
+// vector for pushed-down predicates (batch.go). Leaf scans hand out
+// zero-copy column windows over column-major base-table storage
+// (catalog.Table.ColumnSnapshot), so a filtering scan reads only the columns
+// its conditions touch; the hot kernels — per-operator predicate selection,
+// vectorized multiplicative hashing, join result stitching via Gather,
+// flat-table aggregation — are tight loops over contiguous slices
+// dispatched once per batch (kernels.go, exprkernels.go, vecjoin.go,
+// agg.go). Batch column slices are recycled, so consumers copy values out
+// before the producer's next call; DrainVec and the operator-internal
+// materializing drains do exactly one such copy per row. Under the
+// compiler's Parallelism option, parallelism is morsel-driven and extends
+// across whole pipelines (pipeline.go): right-spine hash-join chains over a
+// large leaf scan fuse into a parallelPipelineOp whose workers each run the
+// full scan → probe cascade → partial-aggregate chain privately — join
+// tables are built once with a partitioned parallel insert and shared
+// read-only, aggregation state is worker-local in a flat open-addressing
+// aggTable (agg.go, no per-row key allocation), and partial aggregates and
+// exact per-operator cardinality counts merge once at the end, so RunStats
+// feedback is byte-identical at any parallelism. Plans that don't match the
+// pipeline shape fall back to morsel-driven parallel leaf scans behind an
+// exchange channel (parallel.go). Results and RunStats are checked against
+// the plan-independent reference evaluator in internal/testkit.
 package exec
 
-import (
-	"errors"
-	"fmt"
-	"sort"
-)
-
-// Row is one tuple. Strings and decimals are dictionary/fixed-point encoded
-// by the workload generators, so the executor is integer-only.
+// Row is one materialized tuple, as returned by DrainVec. Strings and
+// decimals are dictionary/fixed-point encoded by the workload generators,
+// so the executor is integer-only.
 type Row []int64
-
-// Iterator is the Volcano-style operator interface.
-type Iterator interface {
-	// Open prepares the operator (builds hash tables, sorts inputs).
-	Open() error
-	// Next returns the next row, or ok=false at end of stream.
-	Next() (Row, bool, error)
-	// Close releases operator state.
-	Close() error
-}
-
-// Drain runs an iterator to completion and returns all rows.
-func Drain(it Iterator) ([]Row, error) {
-	if err := it.Open(); err != nil {
-		return nil, err
-	}
-	var out []Row
-	for {
-		r, ok, err := it.Next()
-		if err != nil {
-			return nil, errors.Join(err, it.Close())
-		}
-		if !ok {
-			break
-		}
-		out = append(out, r)
-	}
-	return out, it.Close()
-}
-
-// Count runs an iterator to completion and returns the row count without
-// retaining rows.
-func Count(it Iterator) (int64, error) {
-	if err := it.Open(); err != nil {
-		return 0, err
-	}
-	var n int64
-	for {
-		_, ok, err := it.Next()
-		if err != nil {
-			return n, errors.Join(err, it.Close())
-		}
-		if !ok {
-			break
-		}
-		n++
-	}
-	return n, it.Close()
-}
-
-// PredFn tests a row.
-type PredFn func(Row) bool
-
-// ---- scan ----
-
-type scanOp struct {
-	rows  [][]int64
-	preds []PredFn
-	pos   int
-}
-
-// NewScan returns a filtering scan over materialized rows.
-func NewScan(rows [][]int64, preds []PredFn) Iterator {
-	return &scanOp{rows: rows, preds: preds}
-}
-
-func (s *scanOp) Open() error { s.pos = 0; return nil }
-
-func (s *scanOp) Next() (Row, bool, error) {
-outer:
-	for s.pos < len(s.rows) {
-		r := Row(s.rows[s.pos])
-		s.pos++
-		for _, p := range s.preds {
-			if !p(r) {
-				continue outer
-			}
-		}
-		return r, true, nil
-	}
-	return nil, false, nil
-}
-
-func (s *scanOp) Close() error { return nil }
-
-// ---- hash join ----
-
-type hashJoinOp struct {
-	left, right  Iterator
-	lKeys, rKeys []int
-	residual     []PredFn // over the concatenated output row
-	lWidth       int
-	table        map[uint64][]Row
-	probeRow     Row
-	matches      []Row
-	matchIdx     int
-	rightDrained bool
-}
-
-// NewHashJoin builds a hash table over the left input keyed on the compound
-// key of lKeys and probes it with the right input keyed on rKeys (the
-// pipelined hash join of the paper's Table 1). Keying on every available
-// equi-join column keeps match sets minimal; residual predicates (non-equi
-// conditions) are evaluated over the concatenated (left ++ right) output
-// row. Compound keys collide only by hash; a defensive equality check runs
-// on every match.
-func NewHashJoin(left, right Iterator, lKeys, rKeys []int, lWidth int, residual []PredFn) Iterator {
-	return &hashJoinOp{left: left, right: right, lKeys: lKeys, rKeys: rKeys,
-		lWidth: lWidth, residual: residual}
-}
-
-// hashKey combines key columns with an FNV-1a style mix.
-func hashKey(r Row, cols []int) uint64 {
-	h := uint64(1469598103934665603)
-	for _, c := range cols {
-		v := uint64(r[c])
-		for s := 0; s < 64; s += 8 {
-			h ^= (v >> uint(s)) & 0xff
-			h *= 1099511628211
-		}
-	}
-	return h
-}
-
-func keysEqual(l Row, lCols []int, r Row, rCols []int) bool {
-	for i := range lCols {
-		if l[lCols[i]] != r[rCols[i]] {
-			return false
-		}
-	}
-	return true
-}
-
-func (j *hashJoinOp) Open() error {
-	if err := j.right.Open(); err != nil {
-		return err
-	}
-	j.table = make(map[uint64][]Row)
-	if err := j.left.Open(); err != nil {
-		return err
-	}
-	for {
-		r, ok, err := j.left.Next()
-		if err != nil {
-			return err
-		}
-		if !ok {
-			break
-		}
-		k := hashKey(r, j.lKeys)
-		j.table[k] = append(j.table[k], r)
-	}
-	return j.left.Close()
-}
-
-func (j *hashJoinOp) Next() (Row, bool, error) {
-	for {
-		for j.matchIdx < len(j.matches) {
-			l := j.matches[j.matchIdx]
-			j.matchIdx++
-			if !keysEqual(l, j.lKeys, j.probeRow, j.rKeys) {
-				continue
-			}
-			out := make(Row, 0, j.lWidth+len(j.probeRow))
-			out = append(out, l...)
-			out = append(out, j.probeRow...)
-			if evalAll(j.residual, out) {
-				return out, true, nil
-			}
-		}
-		if j.rightDrained {
-			return nil, false, nil
-		}
-		r, ok, err := j.right.Next()
-		if err != nil {
-			return nil, false, err
-		}
-		if !ok {
-			j.rightDrained = true
-			return nil, false, nil
-		}
-		j.probeRow = r
-		j.matches = j.table[hashKey(r, j.rKeys)]
-		j.matchIdx = 0
-	}
-}
-
-func (j *hashJoinOp) Close() error { j.table = nil; return j.right.Close() }
-
-// ---- sort ----
-
-type sortOp struct {
-	in   Iterator
-	col  int
-	rows []Row
-	pos  int
-}
-
-// NewSort materializes and sorts its input by the given column (the sort
-// enforcer).
-func NewSort(in Iterator, col int) Iterator { return &sortOp{in: in, col: col} }
-
-func (s *sortOp) Open() error {
-	rows, err := Drain(s.in)
-	if err != nil {
-		return err
-	}
-	sortRowsRefStable(rows, s.col)
-	s.rows = rows
-	s.pos = 0
-	return nil
-}
-
-func (s *sortOp) Next() (Row, bool, error) {
-	if s.pos >= len(s.rows) {
-		return nil, false, nil
-	}
-	r := s.rows[s.pos]
-	s.pos++
-	return r, true, nil
-}
-
-func (s *sortOp) Close() error { s.rows = nil; return nil }
-
-// ---- merge join ----
-
-type mergeJoinOp struct {
-	left, right Iterator
-	lKey, rKey  int
-	residual    []PredFn
-	lRows       []Row
-	rRows       []Row
-	li, ri      int
-	groupL      []Row
-	groupR      []Row
-	gi, gj      int
-}
-
-// NewMergeJoin joins two inputs already sorted on their key columns.
-func NewMergeJoin(left, right Iterator, lKey, rKey int, residual []PredFn) Iterator {
-	return &mergeJoinOp{left: left, right: right, lKey: lKey, rKey: rKey, residual: residual}
-}
-
-func (m *mergeJoinOp) Open() error {
-	var err error
-	if m.lRows, err = Drain(m.left); err != nil {
-		return err
-	}
-	if m.rRows, err = Drain(m.right); err != nil {
-		return err
-	}
-	// Defensive check: inputs must be sorted (the optimizer guarantees
-	// it via properties; a violation is a planning bug worth surfacing).
-	for i := 1; i < len(m.lRows); i++ {
-		if m.lRows[i-1][m.lKey] > m.lRows[i][m.lKey] {
-			return fmt.Errorf("exec: merge join left input not sorted on col %d", m.lKey)
-		}
-	}
-	for i := 1; i < len(m.rRows); i++ {
-		if m.rRows[i-1][m.rKey] > m.rRows[i][m.rKey] {
-			return fmt.Errorf("exec: merge join right input not sorted on col %d", m.rKey)
-		}
-	}
-	return nil
-}
-
-func (m *mergeJoinOp) Next() (Row, bool, error) {
-	for {
-		for m.gi < len(m.groupL) {
-			for m.gj < len(m.groupR) {
-				l, r := m.groupL[m.gi], m.groupR[m.gj]
-				m.gj++
-				out := make(Row, 0, len(l)+len(r))
-				out = append(out, l...)
-				out = append(out, r...)
-				if evalAll(m.residual, out) {
-					return out, true, nil
-				}
-			}
-			m.gj = 0
-			m.gi++
-		}
-		// advance to next matching key group
-		if m.li >= len(m.lRows) || m.ri >= len(m.rRows) {
-			return nil, false, nil
-		}
-		lk, rk := m.lRows[m.li][m.lKey], m.rRows[m.ri][m.rKey]
-		switch {
-		case lk < rk:
-			m.li++
-		case lk > rk:
-			m.ri++
-		default:
-			ls, rs := m.li, m.ri
-			for m.li < len(m.lRows) && m.lRows[m.li][m.lKey] == lk {
-				m.li++
-			}
-			for m.ri < len(m.rRows) && m.rRows[m.ri][m.rKey] == rk {
-				m.ri++
-			}
-			m.groupL, m.groupR = m.lRows[ls:m.li], m.rRows[rs:m.ri]
-			m.gi, m.gj = 0, 0
-		}
-	}
-}
-
-func (m *mergeJoinOp) Close() error { m.lRows, m.rRows = nil, nil; return nil }
-
-// ---- index nested-loops join ----
-
-// Index is a hash index over one column of a base table's rows.
-type Index map[int64][]Row
-
-// BuildIndex constructs an index on column col; preds filter indexed rows
-// (pushed-down local selections of the inner relation).
-func BuildIndex(rows [][]int64, col int, preds []PredFn) Index {
-	ix := Index{}
-	for _, raw := range rows {
-		r := Row(raw)
-		keep := true
-		for _, p := range preds {
-			if !p(r) {
-				keep = false
-				break
-			}
-		}
-		if keep {
-			ix[r[col]] = append(ix[r[col]], r)
-		}
-	}
-	return ix
-}
-
-type indexNLOp struct {
-	outer    Iterator // the plan's RIGHT child
-	index    Index    // inner: the plan's LEFT child (paper Table 1)
-	outerKey int
-	innerLen int
-	residual []PredFn
-	outerRow Row
-	matches  []Row
-	mi       int
-	done     bool
-}
-
-// NewIndexNLJoin probes a prebuilt inner index with each outer row. The
-// output row is inner ++ outer, matching the plan convention that the
-// indexed inner is the left child.
-func NewIndexNLJoin(outer Iterator, index Index, outerKey, innerLen int, residual []PredFn) Iterator {
-	return &indexNLOp{outer: outer, index: index, outerKey: outerKey,
-		innerLen: innerLen, residual: residual}
-}
-
-func (j *indexNLOp) Open() error { return j.outer.Open() }
-
-func (j *indexNLOp) Next() (Row, bool, error) {
-	for {
-		for j.mi < len(j.matches) {
-			in := j.matches[j.mi]
-			j.mi++
-			out := make(Row, 0, j.innerLen+len(j.outerRow))
-			out = append(out, in...)
-			out = append(out, j.outerRow...)
-			if evalAll(j.residual, out) {
-				return out, true, nil
-			}
-		}
-		if j.done {
-			return nil, false, nil
-		}
-		r, ok, err := j.outer.Next()
-		if err != nil {
-			return nil, false, err
-		}
-		if !ok {
-			j.done = true
-			return nil, false, nil
-		}
-		j.outerRow = r
-		j.matches = j.index[r[j.outerKey]]
-		j.mi = 0
-	}
-}
-
-func (j *indexNLOp) Close() error { return j.outer.Close() }
-
-// ---- projection ----
-
-type projectOp struct {
-	in   Iterator
-	cols []int
-}
-
-// NewProject returns column projection.
-func NewProject(in Iterator, cols []int) Iterator { return &projectOp{in: in, cols: cols} }
-
-func (p *projectOp) Open() error { return p.in.Open() }
-
-func (p *projectOp) Next() (Row, bool, error) {
-	r, ok, err := p.in.Next()
-	if err != nil || !ok {
-		return nil, false, err
-	}
-	out := make(Row, len(p.cols))
-	for i, c := range p.cols {
-		out[i] = r[c]
-	}
-	return out, true, nil
-}
-
-func (p *projectOp) Close() error { return p.in.Close() }
-
-// ---- counter (cardinality collection) ----
-
-type counterOp struct {
-	in Iterator
-	n  *int64
-}
-
-// NewCounter wraps an iterator and accumulates its output cardinality into
-// n — the execution-feedback probes of §5.2.2.
-func NewCounter(in Iterator, n *int64) Iterator { return &counterOp{in: in, n: n} }
-
-func (c *counterOp) Open() error { return c.in.Open() }
-
-func (c *counterOp) Next() (Row, bool, error) {
-	r, ok, err := c.in.Next()
-	if ok {
-		*c.n++
-	}
-	return r, ok, err
-}
-
-func (c *counterOp) Close() error { return c.in.Close() }
-
-func sortRowsRefStable(rows []Row, col int) {
-	sort.SliceStable(rows, func(i, j int) bool { return rows[i][col] < rows[j][col] })
-}
-
-func sortRowsStable(rows [][]int64, col int) {
-	sort.SliceStable(rows, func(i, j int) bool { return rows[i][col] < rows[j][col] })
-}
-
-func evalAll(preds []PredFn, r Row) bool {
-	for _, p := range preds {
-		if !p(r) {
-			return false
-		}
-	}
-	return true
-}

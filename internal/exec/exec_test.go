@@ -1,28 +1,29 @@
 package exec
 
 import (
-	"sort"
-	"strings"
+	"fmt"
 	"testing"
 
+	"repro/internal/catalog"
 	"repro/internal/core"
 	"repro/internal/cost"
 	"repro/internal/relalg"
 	"repro/internal/stats"
 	"repro/internal/systemr"
+	"repro/internal/testkit"
+	"repro/internal/tpch"
 	"repro/internal/volcano"
-
-	"repro/internal/catalog"
 )
 
 // ---- operator unit tests ----
 
 func rows(vals ...[]int64) [][]int64 { return vals }
 
+func scanOf(data [][]int64) VecIterator { return NewVecScanRows(data, ScanFilter{}) }
+
 func TestScanWithPredicates(t *testing.T) {
 	data := rows([]int64{1, 10}, []int64{2, 20}, []int64{3, 30})
-	it := NewScan(data, []PredFn{func(r Row) bool { return r[1] >= 20 }})
-	out, err := Drain(it)
+	out, err := DrainVec(NewVecScanRows(data, ScanFilter{Conds: []ScanCond{{Off: 1, Op: relalg.CmpGE, Val: 20}}}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,10 +33,9 @@ func TestScanWithPredicates(t *testing.T) {
 }
 
 func TestHashJoinCompoundKeys(t *testing.T) {
-	l := NewScan(rows([]int64{1, 5}, []int64{1, 6}, []int64{2, 5}), nil)
-	r := NewScan(rows([]int64{1, 5, 100}, []int64{2, 6, 200}), nil)
-	it := NewHashJoin(l, r, []int{0, 1}, []int{0, 1}, 2, nil)
-	out, err := Drain(it)
+	l := scanOf(rows([]int64{1, 5}, []int64{1, 6}, []int64{2, 5}))
+	r := scanOf(rows([]int64{1, 5, 100}, []int64{2, 6, 200}))
+	out, err := DrainVec(NewVecHashJoin(l, r, []int{0, 1}, []int{0, 1}, nil, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,19 +45,18 @@ func TestHashJoinCompoundKeys(t *testing.T) {
 }
 
 func TestMergeJoinRequiresSortedInputs(t *testing.T) {
-	l := NewScan(rows([]int64{2}, []int64{1}), nil) // unsorted
-	r := NewScan(rows([]int64{1}), nil)
-	it := NewMergeJoin(l, r, 0, 0, nil)
+	l := scanOf(rows([]int64{2}, []int64{1})) // unsorted
+	r := scanOf(rows([]int64{1}))
+	it := NewVecMergeJoin(l, r, 0, 0, nil)
 	if err := it.Open(); err == nil {
 		t.Fatal("unsorted merge input accepted")
 	}
 }
 
 func TestMergeJoinDuplicateGroups(t *testing.T) {
-	l := NewScan(rows([]int64{1, 1}, []int64{1, 2}, []int64{3, 3}), nil)
-	r := NewScan(rows([]int64{1, 10}, []int64{1, 20}, []int64{2, 30}), nil)
-	it := NewMergeJoin(l, r, 0, 0, nil)
-	out, err := Drain(it)
+	l := scanOf(rows([]int64{1, 1}, []int64{1, 2}, []int64{3, 3}))
+	r := scanOf(rows([]int64{1, 10}, []int64{1, 20}, []int64{2, 30}))
+	out, err := DrainVec(NewVecMergeJoin(l, r, 0, 0, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,10 +67,9 @@ func TestMergeJoinDuplicateGroups(t *testing.T) {
 
 func TestIndexNLJoin(t *testing.T) {
 	inner := rows([]int64{1, 100}, []int64{2, 200}, []int64{2, 201})
-	idx := BuildIndex(inner, 0, nil)
-	outer := NewScan(rows([]int64{2, 9}, []int64{5, 9}), nil)
-	it := NewIndexNLJoin(outer, idx, 0, 2, nil)
-	out, err := Drain(it)
+	idx := buildColIndex(transposeRows(inner, 2), 0, ScanFilter{})
+	outer := scanOf(rows([]int64{2, 9}, []int64{5, 9}))
+	out, err := DrainVec(NewVecIndexNLJoin(outer, idx, 0, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,8 +79,7 @@ func TestIndexNLJoin(t *testing.T) {
 }
 
 func TestSortStable(t *testing.T) {
-	it := NewSort(NewScan(rows([]int64{3, 0}, []int64{1, 1}, []int64{3, 2}, []int64{2, 3}), nil), 0)
-	out, err := Drain(it)
+	out, err := DrainVec(NewVecSort(scanOf(rows([]int64{3, 0}, []int64{1, 1}, []int64{3, 2}, []int64{2, 3})), 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,10 +98,9 @@ func TestHashAgg(t *testing.T) {
 	data := rows(
 		[]int64{1, 10, 5}, []int64{1, 20, 5}, []int64{2, 30, 7}, []int64{1, 5, 6},
 	)
-	it := NewHashAgg(NewScan(data, nil), AggSpecExec{
+	out, err := DrainVec(NewVecHashAgg(scanOf(data), AggSpecExec{
 		GroupBy: []int{0}, Sums: []int{1}, CountAll: true, CountDistinct: []int{2},
-	})
-	out, err := Drain(it)
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,8 +114,7 @@ func TestHashAgg(t *testing.T) {
 
 func TestCounter(t *testing.T) {
 	var n int64
-	it := NewCounter(NewScan(rows([]int64{1}, []int64{2}), nil), &n)
-	if _, err := Count(it); err != nil {
+	if _, err := CountVec(NewVecCounter(scanOf(rows([]int64{1}, []int64{2})), &n)); err != nil {
 		t.Fatal(err)
 	}
 	if n != 2 {
@@ -128,10 +123,23 @@ func TestCounter(t *testing.T) {
 }
 
 func TestProject(t *testing.T) {
-	it := NewProject(NewScan(rows([]int64{1, 2, 3}), nil), []int{2, 0})
-	out, _ := Drain(it)
-	if len(out) != 1 || out[0][0] != 3 || out[0][1] != 1 {
-		t.Fatalf("project = %v", out)
+	// A projection spanning several batches, repeating and reordering
+	// columns.
+	data := make([][]int64, 2*BatchSize+3)
+	for i := range data {
+		data[i] = []int64{int64(i), -1, int64(i * 2)}
+	}
+	out, err := DrainVec(NewVecProject(scanOf(data), []int{2, 0, 2}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(out) != len(data) {
+		t.Fatalf("project kept %d of %d rows", len(out), len(data))
+	}
+	for i, r := range out {
+		if len(r) != 3 || r[0] != int64(i*2) || r[1] != int64(i) || r[2] != int64(i*2) {
+			t.Fatalf("project row %d = %v", i, r)
+		}
 	}
 }
 
@@ -142,8 +150,6 @@ func tinyCatalog(seed uint64, nTables, rowsPer int) *catalog.Catalog {
 	r := stats.NewRand(seed)
 	cat := catalog.New()
 	for i := 0; i < nTables; i++ {
-		name := string(rune('t' + 0)) // "t"
-		_ = name
 		tb := catalog.NewTable(tableName(i), "c0", "c1", "c2", "c3")
 		n := 1 + r.Intn(rowsPer)
 		for j := 0; j < n; j++ {
@@ -184,184 +190,25 @@ func randomExecQuery(r *stats.Rand, cat *catalog.Catalog, nRels int) *relalg.Que
 			Op:  relalg.CmpLE, Val: r.Int64n(8),
 		})
 	}
+	// A residual comparison between two relations, applied by whichever
+	// join first brings both sides together.
+	if nRels > 1 && r.Intn(2) == 0 {
+		a := r.Intn(nRels)
+		b := (a + 1 + r.Intn(nRels-1)) % nRels
+		ops := []relalg.CmpOp{relalg.CmpNE, relalg.CmpLT, relalg.CmpLE, relalg.CmpGT, relalg.CmpGE}
+		q.Filters = append(q.Filters, relalg.FilterPred{
+			L:  relalg.ColID{Rel: a, Off: r.Intn(4)},
+			R:  relalg.ColID{Rel: b, Off: r.Intn(4)},
+			Op: ops[r.Intn(len(ops))], Off: r.Int64n(3) - 1, Sel: 0.5,
+		})
+	}
 	if err := q.Validate(); err != nil {
 		panic(err)
 	}
 	return q
 }
 
-// bruteForceJoin computes the query result with nested loops directly from
-// the data — the executor oracle.
-func bruteForceJoin(q *relalg.Query, cat *catalog.Catalog) []Row {
-	var out []Row
-	var rec func(i int, acc []Row)
-	tables := make([][][]int64, len(q.Rels))
-	offsets := make([]int, len(q.Rels))
-	off := 0
-	for i, rr := range q.Rels {
-		tables[i] = cat.MustTable(rr.Table).Rows
-		offsets[i] = off
-		off += len(cat.MustTable(rr.Table).ColNames)
-	}
-	colVal := func(acc []Row, c relalg.ColID) int64 {
-		return acc[c.Rel][c.Off]
-	}
-	rec = func(i int, acc []Row) {
-		if i == len(q.Rels) {
-			full := make(Row, 0, off)
-			for _, part := range acc {
-				full = append(full, part...)
-			}
-			out = append(out, full)
-			return
-		}
-	rows:
-		for _, row := range tables[i] {
-			acc2 := append(acc, Row(row))
-			for _, sp := range q.Scans {
-				if sp.Col.Rel == i && !sp.Op.Eval(row[sp.Col.Off], sp.Val) {
-					continue rows
-				}
-			}
-			for _, jp := range q.Joins {
-				if jp.L.Rel <= i && jp.R.Rel <= i && (jp.L.Rel == i || jp.R.Rel == i) {
-					if colVal(acc2, jp.L) != colVal(acc2, jp.R) {
-						continue rows
-					}
-				}
-			}
-			rec(i+1, acc2)
-		}
-	}
-	rec(0, nil)
-	return out
-}
-
-// canonical renders a multiset of rows order-independently, projecting each
-// row onto the canonical column order (by query relation then offset) so
-// plans with different join orders compare equal.
-func canonical(q *relalg.Query, cat *catalog.Catalog, schemaOf func() []relalg.ColID, rows []Row, schema []relalg.ColID) string {
-	var keys []string
-	for _, r := range rows {
-		vals := make(map[relalg.ColID]int64, len(schema))
-		for i, c := range schema {
-			vals[c] = r[i]
-		}
-		var b strings.Builder
-		for rel := range q.Rels {
-			arity := len(cat.MustTable(q.Rels[rel].Table).ColNames)
-			for off := 0; off < arity; off++ {
-				b.WriteString("|")
-				b.WriteString(int64Str(vals[relalg.ColID{Rel: rel, Off: off}]))
-			}
-		}
-		keys = append(keys, b.String())
-	}
-	sort.Strings(keys)
-	return strings.Join(keys, "\n")
-}
-
-func int64Str(v int64) string {
-	var b [24]byte
-	n := len(b)
-	neg := v < 0
-	if neg {
-		v = -v
-	}
-	if v == 0 {
-		return "0"
-	}
-	for v > 0 {
-		n--
-		b[n] = byte('0' + v%10)
-		v /= 10
-	}
-	if neg {
-		n--
-		b[n] = '-'
-	}
-	return string(b[n:])
-}
-
-// TestPlansAgreeWithBruteForce executes the optimal plan of each
-// architecture — and the deliberately worst plan — and compares the result
-// multiset against a nested-loop oracle. This exercises hash, merge and
-// index-NL joins, sort enforcers, and residual predicates across arbitrary
-// plan shapes.
-func TestPlansAgreeWithBruteForce(t *testing.T) {
-	for seed := uint64(1); seed <= 25; seed++ {
-		r := stats.NewRand(seed * 131)
-		cat := tinyCatalog(seed, 3, 30)
-		q := randomExecQuery(r, cat, 2+int(seed%3))
-		m, err := cost.NewModel(q, cat, cost.DefaultParams())
-		if err != nil {
-			t.Fatal(err)
-		}
-
-		oracleRows := bruteForceJoin(q, cat)
-		fullSchema := func() []relalg.ColID {
-			var s []relalg.ColID
-			for rel, rr := range q.Rels {
-				for off := range cat.MustTable(rr.Table).ColNames {
-					s = append(s, relalg.ColID{Rel: rel, Off: off})
-				}
-			}
-			return s
-		}
-		want := canonical(q, cat, fullSchema, oracleRows, fullSchema())
-
-		var plans []*relalg.Plan
-		if vr, err := volcano.Optimize(m, relalg.DefaultSpace()); err == nil {
-			plans = append(plans, vr.Plan)
-		} else {
-			t.Fatal(err)
-		}
-		if sr, err := systemr.Optimize(m, relalg.DefaultSpace()); err == nil {
-			plans = append(plans, sr.Plan)
-		}
-		o, err := core.New(m, relalg.DefaultSpace(), core.PruneNone)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if p, err := o.Optimize(); err == nil {
-			plans = append(plans, p)
-		} else {
-			t.Fatal(err)
-		}
-		if wp, err := o.WorstPlan(); err == nil {
-			plans = append(plans, wp)
-		}
-
-		for pi, plan := range plans {
-			// Both execution paths must agree with the oracle: the
-			// vectorized default (Compile, behind the row shim) and
-			// the legacy row-at-a-time interpreter (CompileRow).
-			compile := map[string]func(*Compiler, *relalg.Plan) (Iterator, *RunStats, error){
-				"vec": (*Compiler).Compile,
-				"row": (*Compiler).CompileRow,
-			}
-			for mode, fn := range compile {
-				comp := &Compiler{Q: q, Cat: cat}
-				it, _, err := fn(comp, plan)
-				if err != nil {
-					t.Fatalf("seed %d plan %d (%s): compile: %v\n%s", seed, pi, mode, err, plan.Explain(q))
-				}
-				got, err := Drain(it)
-				if err != nil {
-					t.Fatalf("seed %d plan %d (%s): %v\n%s", seed, pi, mode, err, plan.Explain(q))
-				}
-				// Reconstruct the plan's output schema through a
-				// second compile (schema equals full column set in
-				// plan order); canonicalize via column ids.
-				schema := planSchema(q, cat, plan)
-				if gotStr := canonical(q, cat, fullSchema, got, schema); gotStr != want {
-					t.Fatalf("seed %d plan %d (%s): result mismatch\nplan:\n%s\ngot %d rows, want %d",
-						seed, pi, mode, plan.Explain(q), len(got), len(oracleRows))
-				}
-			}
-		}
-	}
-}
+// ---- oracle comparison ----
 
 // planSchema recomputes the output schema of a plan (mirrors the compiler).
 func planSchema(q *relalg.Query, cat *catalog.Catalog, p *relalg.Plan) []relalg.ColID {
@@ -379,6 +226,135 @@ func planSchema(q *relalg.Query, cat *catalog.Catalog, p *relalg.Plan) []relalg.
 	}
 }
 
+// canonicalRows permutes join rows laid out by schema into the oracle's
+// column order: every relation's columns in query relation order.
+func canonicalRows(q *relalg.Query, cat *catalog.Catalog, schema []relalg.ColID, in []Row) []Row {
+	base := make([]int, len(q.Rels))
+	width := 0
+	for rel, rr := range q.Rels {
+		base[rel] = width
+		width += len(cat.MustTable(rr.Table).ColNames)
+	}
+	out := make([]Row, len(in))
+	for i, r := range in {
+		row := make(Row, width)
+		for k, c := range schema {
+			row[base[c.Rel]+c.Off] = r[k]
+		}
+		out[i] = row
+	}
+	return out
+}
+
+// countedExprs returns the subexpressions whose cardinality executing plan
+// must report: every scan and join node except enforcers and the inner of
+// an index nested-loops join, which is probed through its index rather
+// than scanned.
+func countedExprs(p *relalg.Plan, out map[relalg.RelSet]bool) map[relalg.RelSet]bool {
+	if out == nil {
+		out = map[relalg.RelSet]bool{}
+	}
+	switch {
+	case p.Log == relalg.LogEnforce:
+		countedExprs(p.Left, out)
+	case p.Log == relalg.LogJoin:
+		out[p.Expr] = true
+		if p.Phy != relalg.PhyIndexNLJoin {
+			countedExprs(p.Left, out)
+		}
+		countedExprs(p.Right, out)
+	default:
+		out[p.Expr] = true
+	}
+	return out
+}
+
+// checkOracle executes plan through comp and holds the result multiset and
+// every RunStats cardinality against the oracle: the stats must cover
+// exactly the plan's counted subexpressions, each with the oracle's count.
+func checkOracle(t *testing.T, label string, comp *Compiler, plan *relalg.Plan, o *testkit.Oracle) {
+	t.Helper()
+	q := comp.Q
+	v, st, err := comp.CompileVec(plan)
+	if err != nil {
+		t.Fatalf("%s: compile: %v\n%s", label, err, plan.Explain(q))
+	}
+	got, err := DrainVec(v)
+	if err != nil {
+		t.Fatalf("%s: %v\n%s", label, err, plan.Explain(q))
+	}
+	if q.Agg == nil {
+		got = canonicalRows(q, comp.Cat, planSchema(q, comp.Cat, plan), got)
+	}
+	if want := o.Rows(); rowMultiset(got) != rowMultiset(want) {
+		t.Fatalf("%s: result multiset differs from the oracle: %d rows, oracle %d\n%s",
+			label, len(got), len(want), plan.Explain(q))
+	}
+	exprs := countedExprs(plan, nil)
+	if len(st.Cards) != len(exprs) {
+		t.Fatalf("%s: stats cover %d subexpressions, plan counts %d\n%s",
+			label, len(st.Cards), len(exprs), plan.Explain(q))
+	}
+	for set := range exprs {
+		n, ok := st.Card(set)
+		if want := o.Card(set); !ok || n != want {
+			t.Fatalf("%s: cardinality of %s = %d (reported %v), oracle %d\n%s",
+				label, q.SetString(set), n, ok, want, plan.Explain(q))
+		}
+	}
+}
+
+// TestPlansAgreeWithBruteForce executes the optimal plan of each
+// architecture — and the deliberately worst plan — at parallelism 1 and 4
+// and holds the result multiset and every RunStats cardinality against the
+// testkit oracle. This exercises hash, merge and index-NL joins, sort
+// enforcers, and residual predicates across arbitrary plan shapes, and the
+// feedback every one of them reports to the adaptive loop.
+func TestPlansAgreeWithBruteForce(t *testing.T) {
+	for seed := uint64(1); seed <= 25; seed++ {
+		r := stats.NewRand(seed * 131)
+		cat := tinyCatalog(seed, 3, 30)
+		q := randomExecQuery(r, cat, 2+int(seed%3))
+		m, err := cost.NewModel(q, cat, cost.DefaultParams())
+		if err != nil {
+			t.Fatal(err)
+		}
+		o, err := testkit.NewOracle(q, cat)
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		var plans []*relalg.Plan
+		if vr, err := volcano.Optimize(m, relalg.DefaultSpace()); err == nil {
+			plans = append(plans, vr.Plan)
+		} else {
+			t.Fatal(err)
+		}
+		if sr, err := systemr.Optimize(m, relalg.DefaultSpace()); err == nil {
+			plans = append(plans, sr.Plan)
+		}
+		opt, err := core.New(m, relalg.DefaultSpace(), core.PruneNone)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p, err := opt.Optimize(); err == nil {
+			plans = append(plans, p)
+		} else {
+			t.Fatal(err)
+		}
+		if wp, err := opt.WorstPlan(); err == nil {
+			plans = append(plans, wp)
+		}
+
+		for pi, plan := range plans {
+			for _, par := range []int{1, 4} {
+				comp := &Compiler{Q: q, Cat: cat, Parallelism: par}
+				checkOracle(t, fmt.Sprintf("seed %d plan %d par %d", seed, pi, par), comp, plan, o)
+			}
+		}
+	}
+}
+
 // TestRunStatsCollected checks the feedback probes: executing a plan yields
 // an actual cardinality for every scan/join subexpression of the plan.
 func TestRunStatsCollected(t *testing.T) {
@@ -391,11 +367,11 @@ func TestRunStatsCollected(t *testing.T) {
 		t.Fatal(err)
 	}
 	comp := &Compiler{Q: q, Cat: cat}
-	it, st, err := comp.Compile(vr.Plan)
+	v, st, err := comp.CompileVec(vr.Plan)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Count(it); err != nil {
+	if _, err := CountVec(v); err != nil {
 		t.Fatal(err)
 	}
 	var walk func(p *relalg.Plan)
@@ -412,4 +388,67 @@ func TestRunStatsCollected(t *testing.T) {
 		walk(p.Right)
 	}
 	walk(vr.Plan)
+}
+
+// TestEmptyScalarAggregate: a scalar aggregate (no GROUP BY) over empty
+// input returns exactly one row of zeros — COUNT(*), COUNT(DISTINCT) and
+// SUM all 0 — through serial execution, the fused parallel pipeline, and
+// the spill-capable aggregation under a tight memory budget, matching the
+// oracle.
+func TestEmptyScalarAggregate(t *testing.T) {
+	cat := tpch.Generate(tpch.Config{ScaleFactor: 0.002, Seed: 7})
+	q := tpch.Q3S()
+	const O, L = 1, 2 // orders, lineitem
+	// o_orderkey < l_orderkey contradicts the join's o_orderkey =
+	// l_orderkey: the plan keeps its usual shape (and fuses at P=4), but the
+	// join chain produces no rows.
+	q.Filters = append(q.Filters, relalg.FilterPred{
+		L: relalg.ColID{Rel: O, Off: 0}, R: relalg.ColID{Rel: L, Off: 0}, Op: relalg.CmpLT, Sel: 0.5})
+	q.Agg = &relalg.AggSpec{
+		Sums:          []relalg.ColID{{Rel: L, Off: 5}},
+		CountAll:      true,
+		CountDistinct: []relalg.ColID{{Rel: O, Off: 1}},
+	}
+	if err := q.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	m, err := cost.NewModel(q, cat, cost.DefaultParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	vr, err := volcano.Optimize(m, relalg.DefaultSpace())
+	if err != nil {
+		t.Fatal(err)
+	}
+	o, err := testkit.NewOracle(q, cat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := o.Rows(); len(want) != 1 || rowMultiset(want) != rowMultiset([]Row{{0, 0, 0}}) {
+		t.Fatalf("oracle empty scalar aggregate = %v, want one row of zeros", want)
+	}
+	for _, tc := range []struct {
+		name   string
+		comp   *Compiler
+		fused  bool
+		budget bool
+	}{
+		{"serial", &Compiler{Q: q, Cat: cat}, false, false},
+		{"fused", &Compiler{Q: q, Cat: cat, Parallelism: 4}, true, false},
+		{"spill", &Compiler{Q: q, Cat: cat, Parallelism: 4, MemBudgetBytes: tightBudget}, false, true},
+	} {
+		if tc.fused {
+			v, _, err := (&Compiler{Q: q, Cat: cat, Parallelism: 4}).CompileVec(vr.Plan)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, ok := v.(*parallelPipelineOp); !ok {
+				t.Fatalf("%s: root is %T, want a fused pipeline\n%s", tc.name, v, vr.Plan.Explain(q))
+			}
+		}
+		checkOracle(t, tc.name, tc.comp, vr.Plan, o)
+		if tc.budget && !tc.comp.Mem.Bounded() {
+			t.Fatalf("%s: execution was not memory-bounded", tc.name)
+		}
+	}
 }

@@ -15,7 +15,7 @@ import (
 
 // ScanCond is a structured pushed-down selection: col[Off] <Op> Val. The
 // vectorized scans evaluate conditions with per-batch single-column
-// kernels; opaque PredFn closures remain supported as a fallback.
+// kernels.
 type ScanCond struct {
 	Off int
 	Op  relalg.CmpOp
@@ -25,18 +25,15 @@ type ScanCond struct {
 // ScanFilter bundles the pushed-down selections of one scan.
 type ScanFilter struct {
 	Conds []ScanCond
-	Preds []PredFn // opaque fallback predicates, applied after Conds
 }
 
 // Empty reports whether the filter passes every row.
-func (f ScanFilter) Empty() bool { return len(f.Conds) == 0 && len(f.Preds) == 0 }
+func (f ScanFilter) Empty() bool { return len(f.Conds) == 0 }
 
 // SelCols computes the selection vector of a column-major chunk (cols[c]
 // holding rows 0..n-1) into buf, which is reused across batches by the
 // caller. The first condition scans its column densely; each further
 // condition compacts the selection in place, touching only its own column.
-// Opaque fallback predicates gather a scratch row per surviving candidate
-// (the slow path; compiler-generated filters always use Conds).
 func (f ScanFilter) SelCols(cols [][]int64, n int, buf []int) []int {
 	sel := buf[:0]
 	dense := true
@@ -52,26 +49,6 @@ func (f ScanFilter) SelCols(cols [][]int64, n int, buf []int) []int {
 		for i := 0; i < n; i++ {
 			sel = append(sel, i)
 		}
-	}
-	if len(f.Preds) > 0 {
-		scratch := make(Row, len(cols))
-		out := sel[:0]
-		for _, i := range sel {
-			for c := range cols {
-				scratch[c] = cols[c][i]
-			}
-			keep := true
-			for _, p := range f.Preds {
-				if !p(scratch) {
-					keep = false
-					break
-				}
-			}
-			if keep {
-				out = append(out, i)
-			}
-		}
-		sel = out
 	}
 	return sel
 }
@@ -196,22 +173,13 @@ const (
 	hashMul  = uint64(0xBF58476D1CE4E5B9)
 )
 
-// hashCols mixes the compound key columns of r with a multiplicative hash —
-// cheaper than the row path's byte-wise FNV, and strong enough for bucket
-// selection since every chain hit is verified by hash and key equality.
-// hashLive and hashDenseRange compute bit-identical values column-wise.
-func hashCols(r []int64, cols []int) uint64 {
-	h := hashSeed
-	for _, c := range cols {
-		h = (h ^ uint64(r[c])) * hashMul
-	}
-	h ^= h >> 32
-	return h
-}
-
 // hashLive computes the hash of every live row of a column-major chunk into
 // dst (reused across batches), one column pass per key: dst[k] is the hash
-// of the k-th live row. The per-element recurrence is exactly hashCols'.
+// of the k-th live row. The compound key is mixed with a multiplicative
+// hash — h = hashSeed; h = (h ^ key_j) * hashMul for each key column; then
+// h ^= h >> 32 — strong enough for bucket selection since every chain hit
+// is verified by hash and key equality. hashDenseRange computes
+// bit-identical values, so hashes stored by either stay comparable.
 // One- and two-column keys (nearly every join and group-by in the workload)
 // get fused single-pass loops; wider keys fall back to a pass per column.
 func hashLive(dst []uint64, cols [][]int64, keys []int, n int, sel []int) []uint64 {

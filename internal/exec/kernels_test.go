@@ -114,9 +114,8 @@ func TestCaseSelect(t *testing.T) {
 
 // TestSelColsMatchesRowClosures drives ScanFilter.SelCols over random
 // column-major chunks with random condition sets and checks the selected
-// row set against evaluating the equivalent row-at-a-time closures, the
-// way the legacy interpreter does. Also pins the empty-selection and
-// full-batch edges.
+// row set against evaluating every condition row by row. Also pins the
+// empty-selection and full-batch edges.
 func TestSelColsMatchesRowClosures(t *testing.T) {
 	ops := []relalg.CmpOp{relalg.CmpEQ, relalg.CmpNE, relalg.CmpLT,
 		relalg.CmpLE, relalg.CmpGT, relalg.CmpGE}

@@ -34,9 +34,6 @@ func compileFor(t *testing.T, q *relalg.Query, par int) (VecIterator, *RunStats)
 // workload shapes the pipeline was built for: join chains with and without
 // aggregation, a multi-stage cascade, and the bare scan+agg plan.
 func TestCompilePipelineFuses(t *testing.T) {
-	if !columnarDefault {
-		t.Skip("REPRO_COLUMNAR=0 routes compilation through the row engine; no pipelines fuse")
-	}
 	cases := []struct {
 		q      *relalg.Query
 		stages int
@@ -193,15 +190,15 @@ func TestAggTableMerge(t *testing.T) {
 			int64(rng.Intn(100)), int64(rng.Intn(9))}
 	}
 	single := newAggTable(spec)
-	for _, r := range rows {
-		single.add(r)
-	}
+	addRows(single, rows)
 	parts := make([]*aggTable, 4)
+	split := make([][]Row, len(parts))
+	for i, r := range rows {
+		split[i%4] = append(split[i%4], r)
+	}
 	for i := range parts {
 		parts[i] = newAggTable(spec)
-	}
-	for i, r := range rows {
-		parts[i%4].add(r)
+		addRows(parts[i], split[i])
 	}
 	merged := parts[0]
 	for _, p := range parts[1:] {
@@ -221,11 +218,14 @@ func TestAggTableMerge(t *testing.T) {
 // TestAggTableGlobalGroup covers the zero-width group key (no GROUP BY).
 func TestAggTableGlobalGroup(t *testing.T) {
 	spec := AggSpecExec{Sums: []int{0}, CountAll: true}
-	a, b := newAggTable(spec), newAggTable(spec)
+	var ra, rb []Row
 	for i := int64(0); i < 1000; i++ {
-		a.add(Row{i})
-		b.add(Row{i * 2})
+		ra = append(ra, Row{i})
+		rb = append(rb, Row{i * 2})
 	}
+	a, b := newAggTable(spec), newAggTable(spec)
+	addRows(a, ra)
+	addRows(b, rb)
 	a.mergeFrom(b)
 	out := a.rows()
 	if len(out) != 1 {

@@ -47,7 +47,7 @@ func (s *storageScanOp) Next() (*Batch, error) {
 		s.batch.Cols = s.batch.Cols[:len(cols)]
 		copy(s.batch.Cols, cols)
 		s.batch.N = n
-		if len(s.filter.Conds) == 0 && len(s.filter.Preds) == 0 {
+		if s.filter.Empty() {
 			s.batch.Sel = nil
 			return &s.batch, nil
 		}

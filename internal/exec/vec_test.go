@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/cost"
 	"repro/internal/relalg"
+	"repro/internal/testkit"
 	"repro/internal/tpch"
 	"repro/internal/volcano"
 )
@@ -23,7 +24,7 @@ func TestVecScanBatchesAndSelection(t *testing.T) {
 	for i := range data {
 		data[i] = []int64{int64(i), int64(i % 2)}
 	}
-	v := NewVecScanRows(data, ScanFilter{Preds: []PredFn{func(r Row) bool { return r[1] == 0 }}})
+	v := NewVecScanRows(data, ScanFilter{Conds: []ScanCond{{Off: 1, Op: relalg.CmpEQ, Val: 0}}})
 	if err := v.Open(); err != nil {
 		t.Fatal(err)
 	}
@@ -131,18 +132,6 @@ func TestVecHashJoinSpansBatches(t *testing.T) {
 	}
 }
 
-func TestVecRowShimRoundTrip(t *testing.T) {
-	data := rows([]int64{3, 0}, []int64{1, 1}, []int64{2, 2})
-	it := NewRowIterator(NewVecSort(NewVecScanRows(data, ScanFilter{}), 0))
-	out, err := Drain(it)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != 3 || out[0][0] != 1 || out[1][0] != 2 || out[2][0] != 3 {
-		t.Fatalf("shim output = %v", out)
-	}
-}
-
 func TestVecProject(t *testing.T) {
 	out, err := DrainVec(NewVecProject(NewVecScanRows(rows([]int64{1, 2, 3}), ScanFilter{}), []int{2, 0}))
 	if err != nil {
@@ -157,21 +146,21 @@ func TestVecProject(t *testing.T) {
 
 type failingIter struct{ closeErr error }
 
-func (f *failingIter) Open() error              { return nil }
-func (f *failingIter) Next() (Row, bool, error) { return nil, false, errors.New("next failed") }
-func (f *failingIter) Close() error             { return f.closeErr }
+func (f *failingIter) Open() error           { return nil }
+func (f *failingIter) Next() (*Batch, error) { return nil, errors.New("next failed") }
+func (f *failingIter) Close() error          { return f.closeErr }
 
 func TestDrainJoinsCloseError(t *testing.T) {
 	closeErr := errors.New("close failed")
-	_, err := Drain(&failingIter{closeErr: closeErr})
+	_, err := DrainVec(&failingIter{closeErr: closeErr})
 	if err == nil || !strings.Contains(err.Error(), "next failed") {
-		t.Fatalf("Drain error = %v, want next error", err)
+		t.Fatalf("DrainVec error = %v, want next error", err)
 	}
 	if !errors.Is(err, closeErr) {
-		t.Fatalf("Drain error %v does not join the Close error", err)
+		t.Fatalf("DrainVec error %v does not join the Close error", err)
 	}
-	if _, err := Count(&failingIter{closeErr: closeErr}); !errors.Is(err, closeErr) {
-		t.Fatalf("Count error %v does not join the Close error", err)
+	if _, err := CountVec(&failingIter{closeErr: closeErr}); !errors.Is(err, closeErr) {
+		t.Fatalf("CountVec error %v does not join the Close error", err)
 	}
 }
 
@@ -202,9 +191,9 @@ func TestVecHashJoinOpenErrorReleasesProbe(t *testing.T) {
 		runtime.NumGoroutine(), before)
 }
 
-// ---- differential test: row shim vs vectorized path, TPC-H workload ----
+// ---- differential test: executor vs oracle, TPC-H workload ----
 
-func rowMultiset(rows []Row) string {
+func rowMultiset[R ~[]int64](rows []R) string {
 	keys := make([]string, len(rows))
 	for i, r := range rows {
 		var b strings.Builder
@@ -217,15 +206,15 @@ func rowMultiset(rows []Row) string {
 	return strings.Join(keys, "\n")
 }
 
-// TestTPCHRowVecDifferential executes every TPC-H workload query through
-// the legacy row-at-a-time interpreter and the vectorized path at every
+// TestTPCHOracleDifferential executes every TPC-H workload query at every
 // parallelism level (serial, and with fused parallel pipelines plus
-// morsel-driven scans at 2 and 4 workers), asserting identical result
-// multisets and identical RunStats feedback cardinalities — the proof that
-// the §5.4 adaptive loop sees byte-identical feedback at any parallelism.
-// Run under -race (the CI race shard) this also exercises the pipeline
-// workers, partitioned build, and exchange machinery for data races.
-func TestTPCHRowVecDifferential(t *testing.T) {
+// morsel-driven scans at 2 and 4 workers) and holds the result multiset and
+// every RunStats feedback cardinality against the plan-independent testkit
+// oracle — the proof that the §5.4 adaptive loop sees exact, identical
+// feedback at any parallelism. Run under -race (the CI race shard) this
+// also exercises the pipeline workers, partitioned build, and exchange
+// machinery for data races.
+func TestTPCHOracleDifferential(t *testing.T) {
 	cat := tpch.Generate(tpch.Config{ScaleFactor: 0.002, Seed: 7})
 	for name, q := range tpch.Queries() {
 		m, err := cost.NewModel(q, cat, cost.DefaultParams())
@@ -236,49 +225,19 @@ func TestTPCHRowVecDifferential(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-
-		rowComp := &Compiler{Q: q, Cat: cat}
-		it, rowStats, err := rowComp.CompileRow(vr.Plan)
+		o, err := testkit.NewOracle(q, cat)
 		if err != nil {
-			t.Fatalf("%s: compile row: %v", name, err)
+			t.Fatalf("%s: %v", name, err)
 		}
-		rowRows, err := Drain(it)
-		if err != nil {
-			t.Fatalf("%s: row path: %v", name, err)
-		}
-		want := rowMultiset(rowRows)
-
 		for _, par := range []int{1, 2, 4} {
-			vecComp := &Compiler{Q: q, Cat: cat, Parallelism: par}
-			v, vecStats, err := vecComp.CompileVec(vr.Plan)
-			if err != nil {
-				t.Fatalf("%s: compile vec: %v", name, err)
-			}
-			vecRows, err := DrainVec(v)
-			if err != nil {
-				t.Fatalf("%s: vec path (par=%d): %v", name, par, err)
-			}
-			if got := rowMultiset(vecRows); got != want {
-				t.Fatalf("%s (par=%d): result multiset differs: %d vec rows vs %d row rows",
-					name, par, len(vecRows), len(rowRows))
-			}
-			if len(vecStats.Cards) != len(rowStats.Cards) {
-				t.Fatalf("%s (par=%d): stats cover %d exprs, row path %d",
-					name, par, len(vecStats.Cards), len(rowStats.Cards))
-			}
-			for set, n := range rowStats.Cards {
-				got, ok := vecStats.Card(set)
-				if !ok || got != *n {
-					t.Fatalf("%s (par=%d): cardinality of %v = %d, row path %d",
-						name, par, set, got, *n)
-				}
-			}
+			comp := &Compiler{Q: q, Cat: cat, Parallelism: par}
+			checkOracle(t, fmt.Sprintf("%s (par=%d)", name, par), comp, vr.Plan, o)
 		}
 	}
 }
 
-// TestCompileParallelCountMatches runs an aggregate query end to end via
-// Count under parallel scans — the aqp.RunSlice code path.
+// TestCompileParallelCountMatches runs a join query end to end via CountVec
+// under a fused parallel pipeline — the aqp.RunSlice code path.
 func TestCompileParallelCountMatches(t *testing.T) {
 	cat := tpch.Generate(tpch.Config{ScaleFactor: 0.002, Seed: 11})
 	q := tpch.Q3S()
@@ -287,12 +246,7 @@ func TestCompileParallelCountMatches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	comp := &Compiler{Q: q, Cat: cat}
-	it, _, err := comp.CompileRow(vr.Plan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := Count(it)
+	o, err := testkit.NewOracle(q, cat)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,7 +259,7 @@ func TestCompileParallelCountMatches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got != want {
-		t.Fatalf("parallel count = %d, row count = %d", got, want)
+	if want := o.Card(q.AllRels()); got != want {
+		t.Fatalf("parallel count = %d, oracle count = %d", got, want)
 	}
 }

@@ -307,8 +307,9 @@ func (m *vecMergeJoinOp) Open() error {
 		return err
 	}
 	m.mem.Force(colBytes(m.lData.width(), m.lData.n) + colBytes(m.rData.width(), m.rData.n))
-	// Same defensive sortedness check as the row-at-a-time operator — now a
-	// single pass over one contiguous key column per side.
+	// Defensive sortedness check (the optimizer guarantees order via
+	// properties; a violation is a planning bug worth surfacing): a single
+	// pass over one contiguous key column per side.
 	if m.lData.n > 0 {
 		key := m.lData.cols[m.lKey]
 		for i := 1; i < len(key); i++ {

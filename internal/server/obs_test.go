@@ -136,7 +136,7 @@ func TestLifecycleEventsAndSlowDumps(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Session-local re-prepare still traces a hit.
+	// A same-session re-prepare still traces a hit.
 	if _, err := sess.PrepareNamed("Q3S"); err != nil {
 		t.Fatal(err)
 	}

@@ -1,8 +1,12 @@
 package server
 
 import (
+	"fmt"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/sqlmini"
 )
@@ -189,10 +193,10 @@ func TestResultCacheFeedbackUnaffected(t *testing.T) {
 	}
 }
 
-// TestSessionStmtCacheResolvesLocally: a re-prepared statement resolves
-// through the session-local handle cache to the same shared entry, and a
-// different session still shares the entry through the server cache.
-func TestSessionStmtCacheResolvesLocally(t *testing.T) {
+// TestSessionRePrepareResolvesSharedEntry: a re-prepared statement resolves
+// through the shared plan cache to the same entry, for the same session and
+// for a different one, and every re-prepare counts as a hit.
+func TestSessionRePrepareResolvesSharedEntry(t *testing.T) {
 	srv := testServer(t, Options{})
 	sess := srv.Session()
 	a, err := sess.Prepare(sharedSubexprSQL[1])
@@ -216,7 +220,7 @@ func TestSessionStmtCacheResolvesLocally(t *testing.T) {
 	if !n1.Hit || n1.entry != a.entry {
 		t.Fatal("fresh session did not share the entry")
 	}
-	// Named statements cache per session too.
+	// Named statements resolve through the shared cache too.
 	s2 := srv.Session()
 	q1, err := s2.PrepareNamed("Q1")
 	if err != nil {
@@ -227,10 +231,46 @@ func TestSessionStmtCacheResolvesLocally(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !q1b.Hit || q1b.entry != q1.entry {
-		t.Fatal("named re-prepare did not resolve session-locally")
+		t.Fatal("named re-prepare did not resolve to the shared entry")
 	}
 	m := srv.Metrics()
 	if m.Hits != 3 {
-		t.Fatalf("hits=%d, want 3 (two session-local, one shared)", m.Hits)
+		t.Fatalf("hits=%d, want 3 (two same-session, one cross-session)", m.Hits)
 	}
+}
+
+// TestSessionPrepareReleasesEvictedEntries: a session that prepares many
+// distinct statements against a bounded plan cache must not keep evicted
+// entries — each with its live optimizer — reachable. With MaxEntries 4,
+// 64 distinct prepares evict 60 entries; once the caller drops its
+// statement handles, every evicted entry must be garbage collected while
+// the session is still alive.
+func TestSessionPrepareReleasesEvictedEntries(t *testing.T) {
+	srv := testServer(t, Options{MaxEntries: 4})
+	sess := srv.Session()
+	var collected atomic.Int64
+	for i := 0; i < 64; i++ {
+		st, err := sess.Prepare(fmt.Sprintf(
+			"SELECT c.c_custkey FROM customer c WHERE c.c_custkey < %d", i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Hit {
+			t.Fatalf("statement %d hit the cache; want 64 distinct entries", i)
+		}
+		runtime.SetFinalizer(st.entry, func(*planEntry) { collected.Add(1) })
+	}
+	evicted := srv.Metrics().Evictions
+	if evicted != 60 {
+		t.Fatalf("evictions=%d, want 60", evicted)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for collected.Load() < evicted && time.Now().Before(deadline) {
+		runtime.GC()
+		time.Sleep(10 * time.Millisecond)
+	}
+	if got := collected.Load(); got < evicted {
+		t.Fatalf("%d of %d evicted entries collected; the rest are still reachable", got, evicted)
+	}
+	runtime.KeepAlive(sess)
 }

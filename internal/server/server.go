@@ -413,54 +413,6 @@ type Session struct {
 	ID  int64
 
 	execs atomic.Int64
-
-	// stmts is the session-local statement handle cache: statement text
-	// (or workload name) resolved straight to the shared cache entry, so a
-	// re-prepare of a statement this session has already bound skips the
-	// parse and the shared-cache lock entirely. Entries are handles, not
-	// copies — the plan, optimizer and statistics stay shared — and a
-	// handle outliving a server-side eviction keeps serving exactly like
-	// any other statement held across an eviction.
-	stmtMu sync.Mutex
-	stmts  map[string]*planEntry
-}
-
-// cachedStmt resolves a session-local statement key, counting a prepare hit.
-// An entry the server has since evicted (or idled past the TTL) falls back
-// to the shared-cache path so eviction semantics stay exactly those of an
-// uncached prepare; both checks are lock-free.
-func (sess *Session) cachedStmt(key string) (*Stmt, bool) {
-	sess.stmtMu.Lock()
-	e := sess.stmts[key]
-	sess.stmtMu.Unlock()
-	if e == nil {
-		return nil, false
-	}
-	now := time.Now()
-	if e.dropped.Load() || sess.srv.expired(e, now) {
-		sess.stmtMu.Lock()
-		if sess.stmts[key] == e {
-			delete(sess.stmts, key)
-		}
-		sess.stmtMu.Unlock()
-		return nil, false
-	}
-	e.lastUsed.Store(now.UnixNano())
-	sess.srv.hits.Add(1)
-	e.hits.Add(1)
-	sess.srv.trace.Emit(obs.Event{Kind: obs.KindPrepare, Query: e.hash, Note: "hit"})
-	return &Stmt{sess: sess, entry: e, Hit: true}, true
-}
-
-// storeStmt remembers a resolved statement handle under the session-local
-// key.
-func (sess *Session) storeStmt(key string, st *Stmt) {
-	sess.stmtMu.Lock()
-	if sess.stmts == nil {
-		sess.stmts = map[string]*planEntry{}
-	}
-	sess.stmts[key] = st.entry
-	sess.stmtMu.Unlock()
 }
 
 // Execs reports the number of statements this session has executed.
@@ -468,44 +420,25 @@ func (sess *Session) Execs() int64 { return sess.execs.Load() }
 
 // Prepare parses a SQL statement and binds it to the shared plan cache,
 // optimizing it from scratch only if no structurally equal statement is
-// cached yet. Statements this session has prepared before resolve through
-// the session-local handle cache — no parse, no shared-cache lock.
+// cached yet.
 func (sess *Session) Prepare(sql string) (*Stmt, error) {
-	key := "sql:" + sql
-	if st, ok := sess.cachedStmt(key); ok {
-		return st, nil
-	}
 	q, err := sqlmini.Parse(sql, sess.srv.cat, sqlmini.Options{
 		Dict: sess.srv.opts.Dict, Date: sess.srv.opts.Date,
 	})
 	if err != nil {
 		return nil, err
 	}
-	st, err := sess.PrepareQuery(q)
-	if err != nil {
-		return nil, err
-	}
-	sess.storeStmt(key, st)
-	return st, nil
+	return sess.PrepareQuery(q)
 }
 
-// PrepareNamed binds a statement from the Options.Named registry, resolving
-// repeats through the session-local handle cache like Prepare.
+// PrepareNamed binds a statement from the Options.Named registry to the
+// shared plan cache, like Prepare.
 func (sess *Session) PrepareNamed(name string) (*Stmt, error) {
-	key := "name:" + name
-	if st, ok := sess.cachedStmt(key); ok {
-		return st, nil
-	}
 	q, ok := sess.srv.opts.Named[name]
 	if !ok {
 		return nil, fmt.Errorf("server: unknown named query %q", name)
 	}
-	st, err := sess.PrepareQuery(q)
-	if err != nil {
-		return nil, err
-	}
-	sess.storeStmt(key, st)
-	return st, nil
+	return sess.PrepareQuery(q)
 }
 
 // PrepareQuery binds an already-built query to the shared plan cache. The
@@ -635,7 +568,6 @@ type retiredCounters struct {
 // the shared store.
 func (s *Server) removeLocked(key string) *planEntry {
 	e := s.entries[key]
-	e.dropped.Store(true)
 	delete(s.entries, key)
 	for i, k := range s.order {
 		if k == key {
@@ -689,7 +621,6 @@ type planEntry struct {
 	hits     atomic.Int64
 	execs    atomic.Int64
 	lastUsed atomic.Int64 // unix nanos of the last prepare/exec (LRU + TTL)
-	dropped  atomic.Bool  // set on eviction; session handle caches re-resolve
 
 	mu      sync.Mutex // guards everything below
 	model   *cost.Model

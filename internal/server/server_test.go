@@ -312,6 +312,21 @@ func TestProtoSessionRoundTrip(t *testing.T) {
 	}
 }
 
+// TestProtoEmptyCountStar: a COUNT(*) matching no rows replies with one row
+// holding 0, not with an empty result.
+func TestProtoEmptyCountStar(t *testing.T) {
+	srv := testServer(t, Options{})
+	var out strings.Builder
+	script := "prepare n SELECT COUNT(*) FROM customer c WHERE c.c_custkey < 0\nrows n\nquit\n"
+	if err := srv.ServeConn(&rwPair{r: strings.NewReader(script), w: &out}); err != nil {
+		t.Fatal(err)
+	}
+	got := out.String()
+	if !strings.Contains(got, "\nrow 0\nok rows=1 ") {
+		t.Fatalf("empty COUNT(*) did not reply one row holding 0:\n%s", got)
+	}
+}
+
 // rwPair glues a reader and writer into an io.ReadWriter for ServeConn.
 type rwPair struct {
 	r *strings.Reader

@@ -3,7 +3,8 @@
 // connected join graphs (a random spanning tree plus optional extra edges),
 // random local predicates, and random physical designs (indexes, sort
 // orders) so that every operator alternative in the plan space gets
-// exercised.
+// exercised. Oracle (oracle.go) is the plan-independent reference evaluator
+// the executor's results and cardinality feedback are checked against.
 package testkit
 
 import (

@@ -161,11 +161,11 @@ func TestQ3SExecutes(t *testing.T) {
 		t.Fatal(err)
 	}
 	comp := &exec.Compiler{Q: q, Cat: cat}
-	it, st, err := comp.Compile(vr.Plan)
+	v, st, err := comp.CompileVec(vr.Plan)
 	if err != nil {
 		t.Fatal(err)
 	}
-	n, err := exec.Count(it)
+	n, err := exec.CountVec(v)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,11 +187,11 @@ func TestQ5AggregateExecutes(t *testing.T) {
 		t.Fatal(err)
 	}
 	comp := &exec.Compiler{Q: q, Cat: cat}
-	it, _, err := comp.Compile(vr.Plan)
+	v, _, err := comp.CompileVec(vr.Plan)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, err := exec.Drain(it)
+	rows, err := exec.DrainVec(v)
 	if err != nil {
 		t.Fatal(err)
 	}

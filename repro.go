@@ -16,8 +16,8 @@
 //   - internal/exec — a vectorized (batch-at-a-time) executor with
 //     selection vectors, morsel-driven parallel scans behind a Parallelism
 //     option, per-query memory accounting with grace-hash spilling under a
-//     budget, exact per-operator cardinality feedback, and a row-at-a-time
-//     compatibility shim;
+//     budget, and exact per-operator cardinality feedback, checked against
+//     the plan-independent reference evaluator in internal/testkit;
 //   - internal/aqp — the adaptive query processing loop;
 //   - internal/fbstore — the server-wide statistics plane: calibrated
 //     cardinality observations keyed by canonical subexpression
