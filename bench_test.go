@@ -9,6 +9,7 @@ package repro
 import (
 	"fmt"
 	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/aqp"
@@ -349,6 +350,44 @@ func BenchmarkFacade(b *testing.B) {
 		}
 		o.UpdateCardFactor(target, f)
 		if _, err := o.Reoptimize(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkExecIndexNL executes one index nested-loops plan at P=1: the
+// second ad-hoc join template of perfbench's adhoc-churn workload at
+// sf=0.01, where the declarative optimizer probes partsupp through its
+// ps_partkey index. Run with -benchmem; B/op covers one execution, so it
+// shows whether the inner's index is rebuilt per execution.
+func BenchmarkExecIndexNL(b *testing.B) {
+	cat := tpch.Generate(tpch.Config{ScaleFactor: 0.01, Seed: 42})
+	q, err := ParseSQL(`SELECT COUNT(*) FROM region r, nation n, supplier s, partsupp ps, part p
+WHERE r.r_regionkey = n.n_regionkey AND n.n_nationkey = s.s_nationkey
+AND s.s_suppkey = ps.ps_suppkey AND ps.ps_partkey = p.p_partkey AND p.p_partkey = 77`,
+		cat, SQLOptions{Dict: tpch.Dict(), Date: tpch.Date})
+	if err != nil {
+		b.Fatal(err)
+	}
+	opt, err := NewOptimizer(q, cat)
+	if err != nil {
+		b.Fatal(err)
+	}
+	plan, err := opt.Optimize()
+	if err != nil {
+		b.Fatal(err)
+	}
+	if !strings.Contains(plan.Explain(q), "IndexNLJoin") {
+		b.Fatalf("plan has no index-NL join:\n%s", plan.Explain(q))
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		comp := &exec.Compiler{Q: q, Cat: cat, Parallelism: 1}
+		v, _, err := comp.CompileVec(plan)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := exec.CountVec(v); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -188,14 +188,22 @@ func (t *Table) syncedStoreLocked() storage.Backend {
 	return t.store
 }
 
+// Snapshot returns the backend's current immutable snapshot of the rows,
+// together with the indexes it owns (storage.Snapshot.Index). Later
+// mutations publish new snapshots without disturbing this one, so it is
+// safe to read concurrently with them.
+func (t *Table) Snapshot() *storage.Snapshot {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.syncedStoreLocked().Snapshot()
+}
+
 // ColumnSnapshot returns an immutable column-major view of the rows:
 // cols[c][i] == Rows[i][c] for i < n. The pair is consistent — later
 // appends publish new snapshots without disturbing this one — so it is safe
 // to scan concurrently with mutations.
 func (t *Table) ColumnSnapshot() (cols [][]int64, n int) {
-	t.mu.Lock()
-	snap := t.syncedStoreLocked().Snapshot()
-	t.mu.Unlock()
+	snap := t.Snapshot()
 	return snap.Cols, snap.N
 }
 

@@ -25,7 +25,7 @@ func (c *Catalog) BindDir(dir string, buckets int) (BindSummary, error) {
 	var sum BindSummary
 	for _, name := range c.Names() {
 		t := c.tables[name]
-		st, err := storage.OpenDiskStore(filepath.Join(dir, name), name, len(t.ColNames), t.SortedBy, t.Indexes)
+		st, err := storage.OpenDiskStore(filepath.Join(dir, name), name, len(t.ColNames), t.SortedBy)
 		if err != nil {
 			return sum, fmt.Errorf("catalog: bind %s: %w", name, err)
 		}

@@ -7,6 +7,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/relalg"
 	"repro/internal/rescache"
+	"repro/internal/storage"
 )
 
 // RunStats accumulates actual output cardinalities per subexpression during
@@ -232,6 +233,30 @@ func (c *Compiler) cols(rel int) (colData, error) {
 	return colData{cols: cols, n: n}, nil
 }
 
+// indexed returns the column-major data of a query relation together with
+// an ordered index over column col of exactly that data: one storage
+// snapshot supplies both, so row ids and columns cannot disagree, and its
+// index is shared with every execution holding that snapshot. A
+// Data-overridden relation has no snapshot; its index is built over the
+// transposed rows for this execution only.
+func (c *Compiler) indexed(rel, col int) (colData, *storage.OrderedIndex, error) {
+	t, err := c.Cat.Table(c.Q.Rels[rel].Table)
+	if err != nil {
+		return colData{}, nil, err
+	}
+	if c.Data != nil {
+		if rows := c.Data(rel); rows != nil {
+			data := transposeRows(rows, len(t.ColNames))
+			// Per-execution (key, row id) arrays with no out-of-core
+			// fallback.
+			c.Mem.Force(int64(data.n) * 12)
+			return data, storage.NewOrderedIndex(data.cols[col]), nil
+		}
+	}
+	snap := t.Snapshot()
+	return colData{cols: snap.Cols, n: snap.N}, snap.Index(col), nil
+}
+
 // compileVec compiles one plan node via compileVecNode and — when
 // profiling — wraps the result in the timing shim for that node. Fused
 // pipelines are exempt: they register their own per-stage spans.
@@ -381,10 +406,6 @@ func (c *Compiler) compileVecIndexNL(p *relalg.Plan, jp relalg.JoinPred, stats *
 	for i := range innerSchema {
 		innerSchema[i] = relalg.ColID{Rel: inner, Off: i}
 	}
-	innerData, err := c.cols(inner)
-	if err != nil {
-		return nil, nil, err
-	}
 	innerConds, err := c.scanConds(inner, innerSchema)
 	if err != nil {
 		return nil, nil, err
@@ -393,11 +414,10 @@ func (c *Compiler) compileVecIndexNL(p *relalg.Plan, jp relalg.JoinPred, stats *
 	if innerCol.Rel != inner {
 		innerCol, outerCol = outerCol, innerCol
 	}
-	index := buildColIndex(innerData, innerCol.Off, ScanFilter{Conds: innerConds})
-	// The index map (per-key row-id slices + bucket overhead) has no
-	// out-of-core fallback; the base column data it points into is the
-	// catalog's untracked mirror.
-	c.Mem.Force(int64(innerData.n) * 40)
+	innerData, index, err := c.indexed(inner, innerCol.Off)
+	if err != nil {
+		return nil, nil, err
+	}
 
 	outer, os, err := c.compileVec(p.Right, stats)
 	if err != nil {
@@ -412,7 +432,7 @@ func (c *Compiler) compileVecIndexNL(p *relalg.Plan, jp relalg.JoinPred, stats *
 	if err != nil {
 		return nil, nil, err
 	}
-	v := NewVecIndexNLJoin(outer, index, ok, residual)
+	v := NewVecIndexNLJoin(outer, innerData, index, innerConds, ok, residual)
 	return c.countedVec(v, p.Expr, stats), schema, nil
 }
 

@@ -9,6 +9,7 @@ import (
 	"repro/internal/cost"
 	"repro/internal/relalg"
 	"repro/internal/stats"
+	"repro/internal/storage"
 	"repro/internal/systemr"
 	"repro/internal/testkit"
 	"repro/internal/tpch"
@@ -66,15 +67,26 @@ func TestMergeJoinDuplicateGroups(t *testing.T) {
 }
 
 func TestIndexNLJoin(t *testing.T) {
-	inner := rows([]int64{1, 100}, []int64{2, 200}, []int64{2, 201})
-	idx := buildColIndex(transposeRows(inner, 2), 0, ScanFilter{})
+	inner := transposeRows(rows([]int64{2, 202}, []int64{1, 100}, []int64{2, 200}, []int64{2, 201}), 2)
+	idx := storage.NewOrderedIndex(inner.cols[0])
 	outer := scanOf(rows([]int64{2, 9}, []int64{5, 9}))
-	out, err := DrainVec(NewVecIndexNLJoin(outer, idx, 0, nil))
+	out, err := DrainVec(NewVecIndexNLJoin(outer, inner, idx, nil, 0, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(out) != 2 || out[0][1] != 200 || out[1][1] != 201 {
+	// Matches come out in inner row order.
+	if len(out) != 3 || out[0][1] != 202 || out[1][1] != 200 || out[2][1] != 201 {
 		t.Fatalf("index NL output = %v", out)
+	}
+	// The inner's pushed-down conditions apply to the matched rows.
+	outer = scanOf(rows([]int64{2, 9}, []int64{5, 9}))
+	conds := []ScanCond{{Off: 1, Op: relalg.CmpLE, Val: 201}, {Off: 1, Op: relalg.CmpNE, Val: 200}}
+	out, err = DrainVec(NewVecIndexNLJoin(outer, inner, idx, conds, 0, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(out) != 1 || out[0][1] != 201 || out[0][3] != 9 {
+		t.Fatalf("index NL output with inner conditions = %v", out)
 	}
 }
 

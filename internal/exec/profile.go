@@ -109,11 +109,14 @@ func (pp *PlanProfile) Format(q *relalg.Query, plan *relalg.Plan, stats *RunStat
 		fmt.Fprintf(&b, "HashAggregate  [rows=%d batches=%d time=%v]\n",
 			pp.Agg.Rows, pp.Agg.Batches, time.Duration(nanos).Round(time.Microsecond))
 	}
-	pp.format(q, plan, stats, &b, 0)
+	pp.format(q, plan, stats, &b, 0, false)
 	return b.String()
 }
 
-func (pp *PlanProfile) format(q *relalg.Query, p *relalg.Plan, stats *RunStats, b *strings.Builder, depth int) {
+// format renders node p; probed marks the inner leaf of an executed
+// index-NL join, which the join reads through its index instead of
+// executing as a scan.
+func (pp *PlanProfile) format(q *relalg.Query, p *relalg.Plan, stats *RunStats, b *strings.Builder, depth int, probed bool) {
 	if p == nil {
 		return
 	}
@@ -153,15 +156,18 @@ func (pp *PlanProfile) format(q *relalg.Query, p *relalg.Plan, stats *RunStats, 
 	} else {
 		fmt.Fprintf(b, " act=-")
 	}
-	if sp := pp.spans[p]; sp != nil {
+	sp := pp.spans[p]
+	if sp != nil {
 		fmt.Fprintf(b, " | rows=%d batches=%d time=%v]",
 			sp.Rows, sp.Batches, time.Duration(pp.displayNanos(p)).Round(time.Microsecond))
+	} else if probed {
+		fmt.Fprintf(b, " | probed through the join's index]")
 	} else {
 		fmt.Fprintf(b, " | not executed (cached)]")
 	}
 	b.WriteByte('\n')
-	pp.format(q, p.Left, stats, b, depth+1)
-	pp.format(q, p.Right, stats, b, depth+1)
+	pp.format(q, p.Left, stats, b, depth+1, p.Phy == relalg.PhyIndexNLJoin && sp != nil)
+	pp.format(q, p.Right, stats, b, depth+1, false)
 }
 
 // qError is the symmetric cardinality estimation error max(act/est,

@@ -4,8 +4,10 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/catalog"
 	"repro/internal/cost"
 	"repro/internal/relalg"
+	"repro/internal/rescache"
 	"repro/internal/tpch"
 	"repro/internal/volcano"
 )
@@ -16,7 +18,8 @@ import (
 // every workload query, serial and under fused parallel pipelines.
 func TestExplainAnalyzeMatchesRunStats(t *testing.T) {
 	cat := tpch.Generate(tpch.Config{ScaleFactor: 0.002, Seed: 7})
-	for name, q := range tpch.Queries() {
+	probedInners := 0
+	for name, q := range profiledQueries(t, cat) {
 		m, err := cost.NewModel(q, cat, cost.DefaultParams())
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -74,7 +77,97 @@ func TestExplainAnalyzeMatchesRunStats(t *testing.T) {
 			if !strings.Contains(text, "act=") || !strings.Contains(text, "time=") {
 				t.Fatalf("%s (par=%d): analyze output missing annotations:\n%s", name, par, text)
 			}
+			probed, cached := checkUnexecutedLabels(t, name, prof, vr.Plan, text)
+			if cached != 0 {
+				t.Fatalf("%s (par=%d): %d nodes labeled cached with no result cache:\n%s", name, par, cached, text)
+			}
+			probedInners += probed
 		}
+	}
+	if probedInners == 0 {
+		t.Fatal("no workload plan has an index-NL join; the probed label went unchecked")
+	}
+}
+
+// profiledQueries is the TPC-H workload plus the index-NL fixture query,
+// whose plan probes an inner through its index.
+func profiledQueries(t *testing.T, cat *catalog.Catalog) map[string]*relalg.Query {
+	qs := tpch.Queries()
+	qs["IndexNL"], _, _ = indexNLFixture(t, cat)
+	return qs
+}
+
+// checkUnexecutedLabels asserts how EXPLAIN ANALYZE labels the nodes that
+// have no span: the inner of an executed index-NL join reads as probed
+// through the join's index, every other one as replaced by the result
+// cache. It returns how many of each the plan holds.
+func checkUnexecutedLabels(t *testing.T, name string, prof *PlanProfile, plan *relalg.Plan, text string) (probed, cached int) {
+	t.Helper()
+	var walk func(p *relalg.Plan, probedLeaf bool)
+	walk = func(p *relalg.Plan, probedLeaf bool) {
+		if p == nil {
+			return
+		}
+		sp := prof.SpanOf(p)
+		switch {
+		case sp != nil:
+		case probedLeaf:
+			probed++
+		default:
+			cached++
+		}
+		walk(p.Left, p.Phy == relalg.PhyIndexNLJoin && sp != nil)
+		walk(p.Right, false)
+	}
+	walk(plan, false)
+	if got := strings.Count(text, "probed through the join's index"); got != probed {
+		t.Fatalf("%s: %d probed labels, want %d:\n%s", name, got, probed, text)
+	}
+	if got := strings.Count(text, "not executed (cached)"); got != cached {
+		t.Fatalf("%s: %d cached labels, want %d:\n%s", name, got, cached, text)
+	}
+	return probed, cached
+}
+
+// TestExplainAnalyzeCachedLabel executes every workload query twice against
+// one result cache and profiles the second, probing run: the nodes of the
+// subtrees the cache replaced read as cached — an index-NL inner too, when
+// its join was replaced — and only inners of executed joins as probed.
+func TestExplainAnalyzeCachedLabel(t *testing.T) {
+	cat := tpch.Generate(tpch.Config{ScaleFactor: 0.002, Seed: 7})
+	cached := 0
+	for name, q := range profiledQueries(t, cat) {
+		m, err := cost.NewModel(q, cat, cost.DefaultParams())
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		vr, err := volcano.Optimize(m, relalg.DefaultSpace())
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		cands := BuildCacheCandidates(q, vr.Plan, relalg.NewFingerprinter(q), 0)
+		cache := rescache.New(rescache.Options{MaxBytes: 64 << 20})
+		var prof *PlanProfile
+		var stats *RunStats
+		for run := 0; run < 2; run++ {
+			comp := &Compiler{Q: q, Cat: cat, Cache: cache, CacheCands: cands}
+			if run == 1 {
+				prof = NewPlanProfile()
+				comp.Prof = prof
+			}
+			var v VecIterator
+			if v, stats, err = comp.CompileVec(vr.Plan); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if _, err := DrainVec(v); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+		}
+		_, c := checkUnexecutedLabels(t, name, prof, vr.Plan, prof.Format(q, vr.Plan, stats))
+		cached += c
+	}
+	if cached == 0 {
+		t.Fatal("the result cache replaced no subtree; the cached label went unchecked")
 	}
 }
 

@@ -3,6 +3,8 @@ package exec
 import (
 	"errors"
 	"fmt"
+
+	"repro/internal/storage"
 )
 
 // The row-producing join operators share one output scheme: matches are
@@ -71,6 +73,29 @@ func filterPairs(preds []ColPred, build *colData, probeCols [][]int64, pb, pp []
 		}
 		if ok {
 			pb[k], pp[k] = bi, pi
+			k++
+		}
+	}
+	return pb[:k], pp[:k]
+}
+
+// filterPairsConds compacts the pair vectors in place to the pairs whose
+// build row satisfies every pushed-down scan condition.
+func filterPairsConds(conds []ScanCond, build *colData, pb, pp []int32) ([]int32, []int32) {
+	if len(conds) == 0 {
+		return pb, pp
+	}
+	k := 0
+	for j, bi := range pb {
+		ok := true
+		for _, c := range conds {
+			if !c.Op.Eval(build.cols[c.Off][bi], c.Val) {
+				ok = false
+				break
+			}
+		}
+		if ok {
+			pb[k], pp[k] = bi, pp[j]
 			k++
 		}
 	}
@@ -397,34 +422,11 @@ func (m *vecMergeJoinOp) Close() error {
 
 // ---- vectorized index nested-loops join ----
 
-// colIndex is a hash index over one column of a column-major base table:
-// value -> row indices into data.
-type colIndex struct {
-	data colData
-	m    map[int64][]int32
-}
-
-// buildColIndex constructs an index on column col of a column-major table;
-// filter applies the pushed-down local selections of the inner relation.
-func buildColIndex(data colData, col int, filter ScanFilter) *colIndex {
-	ix := &colIndex{data: data, m: map[int64][]int32{}}
-	key := data.cols[col]
-	if filter.Empty() {
-		for i := 0; i < data.n; i++ {
-			ix.m[key[i]] = append(ix.m[key[i]], int32(i))
-		}
-		return ix
-	}
-	sel := filter.SelCols(data.cols, data.n, make([]int, 0, data.n))
-	for _, i := range sel {
-		ix.m[key[i]] = append(ix.m[key[i]], int32(i))
-	}
-	return ix
-}
-
 type vecIndexNLOp struct {
 	outer    VecIterator // the plan's RIGHT child
-	index    *colIndex   // inner: the plan's LEFT child
+	inner    colData     // the plan's LEFT child, a base table
+	index    *storage.OrderedIndex
+	conds    []ScanCond // the inner scan's pushed-down selections
 	outerKey int
 	residual []ColPred
 
@@ -439,11 +441,14 @@ type vecIndexNLOp struct {
 	emit           colEmitter
 }
 
-// NewVecIndexNLJoin probes a prebuilt inner index with each outer row,
-// batch-at-a-time. The output row is inner ++ outer, matching the plan
-// convention that the indexed inner is the left child.
-func NewVecIndexNLJoin(outer VecIterator, index *colIndex, outerKey int, residual []ColPred) VecIterator {
-	return &vecIndexNLOp{outer: outer, index: index, outerKey: outerKey, residual: residual}
+// NewVecIndexNLJoin probes index, an ordered index over one column of the
+// inner table, with each outer row, batch-at-a-time. Matched inner rows
+// must pass the inner's pushed-down conditions conds. The output row is
+// inner ++ outer, matching the plan convention that the indexed inner is
+// the left child.
+func NewVecIndexNLJoin(outer VecIterator, inner colData, index *storage.OrderedIndex, conds []ScanCond, outerKey int, residual []ColPred) VecIterator {
+	return &vecIndexNLOp{outer: outer, inner: inner, index: index, conds: conds,
+		outerKey: outerKey, residual: residual}
 }
 
 func (j *vecIndexNLOp) Open() error {
@@ -453,15 +458,16 @@ func (j *vecIndexNLOp) Open() error {
 }
 
 func (j *vecIndexNLOp) flushPairs() *Batch {
-	pb, pp := filterPairs(j.residual, &j.index.data, j.ob.Cols, j.pairsB, j.pairsP)
+	pb, pp := filterPairsConds(j.conds, &j.inner, j.pairsB, j.pairsP)
+	pb, pp = filterPairs(j.residual, &j.inner, j.ob.Cols, pb, pp)
 	j.pairsB, j.pairsP = j.pairsB[:0], j.pairsP[:0]
 	if len(pb) == 0 {
 		return nil
 	}
 	if j.emit.batch.Cols == nil {
-		j.emit.init(j.index.data.width() + j.ob.Width())
+		j.emit.init(j.inner.width() + j.ob.Width())
 	}
-	return j.emit.emit(&j.index.data, j.ob.Cols, pb, pp)
+	return j.emit.emit(&j.inner, j.ob.Cols, pb, pp)
 }
 
 func (j *vecIndexNLOp) Next() (*Batch, error) {
@@ -482,7 +488,7 @@ func (j *vecIndexNLOp) Next() (*Batch, error) {
 				j.curIdx = j.ob.Sel[j.oi]
 			}
 			j.oi++
-			j.matches = j.index.m[j.ob.Cols[j.outerKey][j.curIdx]]
+			j.matches = j.index.Lookup(j.ob.Cols[j.outerKey][j.curIdx])
 			j.mi = 0
 			continue
 		}

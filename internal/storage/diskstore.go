@@ -28,8 +28,10 @@ import (
 //   - seg-XXXXXX.seg — immutable column segments: rows sorted by the
 //     table's clustered column, per-column zone maps (min/max) in the
 //     header, then column-contiguous little-endian int64 data.
-//   - seg-XXXXXX.ixN — ordered index segments for indexed column N:
-//     (order-preserving key, global row id) pairs sorted by key.
+//
+// Secondary indexes are not persisted: the in-memory snapshot builds them
+// on demand (Snapshot.Index). Index segment files (seg-XXXXXX.ixN) left by
+// older versions are deleted at open.
 //
 // All reads are served from an embedded MemStore; the files exist to
 // survive restarts. Flush compacts the unflushed tail (WAL rows plus any
@@ -39,25 +41,22 @@ import (
 // min/max of the SAME row multiset its in-memory span holds, so a zone that
 // excludes a predicate excludes every row of the span.
 type DiskStore struct {
-	dir       string
-	name      string
-	width     int
-	sortedBy  int
-	indexCols []int
+	dir      string
+	name     string
+	width    int
+	sortedBy int
 
 	mem *MemStore
 
-	mu         sync.Mutex
-	wal        *os.File
-	walFile    string // active log's file name, as recorded in the manifest
-	walRows    int    // rows in the log (the unflushed tail), when not dirtyAll
-	segs       []segMeta
-	segRows    int // rows covered by segments == start of the tail span
-	seq        int // next segment file number
-	dirtyAll   bool
-	loadedVer  uint64
-	indexes    map[int]*OrderedIndex
-	indexValid bool
+	mu        sync.Mutex
+	wal       *os.File
+	walFile   string // active log's file name, as recorded in the manifest
+	walRows   int    // rows in the log (the unflushed tail), when not dirtyAll
+	segs      []segMeta
+	segRows   int // rows covered by segments == start of the tail span
+	seq       int // next segment file number
+	dirtyAll  bool
+	loadedVer uint64
 }
 
 // segMeta is one segment's manifest entry plus its loaded zone maps.
@@ -74,7 +73,6 @@ type manifest struct {
 	SortedBy    int       `json:"sorted_by"`
 	DataVersion uint64    `json:"data_version"`
 	Seq         int       `json:"seq"`
-	IndexCols   []int     `json:"index_cols"`
 	Wal         string    `json:"wal,omitempty"`
 	Segments    []segMeta `json:"segments"`
 }
@@ -84,26 +82,22 @@ const (
 	manifestName   = "MANIFEST.json"
 	walName        = "wal.log" // bootstrap log name, before the first flush rotates
 	segMagic       = "REPROSG1"
-	ixMagic        = "REPROIX1"
 )
 
 // OpenDiskStore opens (or initializes) the persistent store for one table
 // under dir. Existing segments and the append log are replayed into memory;
 // the store then serves reads at in-memory speed. sortedBy < 0 means no
-// clustered order; indexCols lists columns to maintain ordered index
-// segments for.
-func OpenDiskStore(dir, name string, width, sortedBy int, indexCols []int) (*DiskStore, error) {
+// clustered order.
+func OpenDiskStore(dir, name string, width, sortedBy int) (*DiskStore, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("storage: create table dir: %w", err)
 	}
 	s := &DiskStore{
-		dir:       dir,
-		name:      name,
-		width:     width,
-		sortedBy:  sortedBy,
-		indexCols: append([]int(nil), indexCols...),
-		mem:       NewMemStore(width),
-		indexes:   map[int]*OrderedIndex{},
+		dir:      dir,
+		name:     name,
+		width:    width,
+		sortedBy: sortedBy,
+		mem:      NewMemStore(width),
 	}
 	if err := s.load(); err != nil {
 		return nil, err
@@ -155,10 +149,10 @@ func (s *DiskStore) load() error {
 			}
 		}
 	}
-	var ixKeys, ixRows map[int][]int64
-	if len(s.indexCols) > 0 {
-		ixKeys = map[int][]int64{}
-		ixRows = map[int][]int64{}
+	// Index segments written by older versions are never read; drop them.
+	stale, _ := filepath.Glob(filepath.Join(s.dir, "seg-*.ix*"))
+	for _, p := range stale {
+		os.Remove(p)
 	}
 	for _, sm := range m.Segments {
 		zones, rows, err := readSegment(filepath.Join(s.dir, sm.File), s.width)
@@ -173,14 +167,6 @@ func (s *DiskStore) load() error {
 		}
 		s.segs = append(s.segs, segMeta{File: sm.File, Rows: sm.Rows, zones: zones})
 		s.segRows += sm.Rows
-		for _, col := range s.indexCols {
-			k, r, err := readIndexSegment(ixPath(filepath.Join(s.dir, sm.File), col), col)
-			if err != nil {
-				return fmt.Errorf("storage: index segment for %s col %d: %w", sm.File, col, err)
-			}
-			ixKeys[col] = append(ixKeys[col], k...)
-			ixRows[col] = append(ixRows[col], r...)
-		}
 	}
 	// Replay the active append log; its rows are the unflushed tail.
 	walRows, err := replayWAL(filepath.Join(s.dir, s.walFile), s.width, func(rows [][]int64) error {
@@ -190,13 +176,6 @@ func (s *DiskStore) load() error {
 		return err
 	}
 	s.walRows = walRows
-	// The merged on-disk indexes are usable only when they cover every row.
-	s.indexValid = walRows == 0
-	if s.indexValid {
-		for _, col := range s.indexCols {
-			s.indexes[col] = NewOrderedIndex(col, ixKeys[col], ixRows[col])
-		}
-	}
 	return nil
 }
 
@@ -261,8 +240,6 @@ func (s *DiskStore) Append(rows [][]int64) error {
 		return err
 	}
 	s.walRows += len(rows)
-	// Unflushed rows are invisible to the persisted indexes.
-	s.indexValid = false
 	return nil
 }
 
@@ -271,8 +248,8 @@ func (s *DiskStore) ResetRows(rows [][]int64) {
 	defer s.mu.Unlock()
 	if sameContent(s.mem.Snapshot(), rows) {
 		// The analyze/rebuild path re-materializes identical content (the
-		// common case); segments, zones, and indexes all remain exact, so
-		// the snapshot readers hold stays published untouched.
+		// common case); segments and zones remain exact, so the snapshot
+		// readers hold — and the indexes it built — stays published.
 		return
 	}
 	// Content changed — even at the same row count (e.g. a full sliding
@@ -280,7 +257,6 @@ func (s *DiskStore) ResetRows(rows [][]int64) {
 	// Flush rewrites everything as one segment.
 	s.mem.ResetRows(rows)
 	s.dirtyAll = true
-	s.indexValid = false
 }
 
 // sameContent reports whether the row-major rows hold exactly the
@@ -356,15 +332,6 @@ func (s *DiskStore) ZoneCols() []int {
 	return []int{s.sortedBy}
 }
 
-func (s *DiskStore) OrderedIndex(col int) *OrderedIndex {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if !s.indexValid {
-		return nil
-	}
-	return s.indexes[col]
-}
-
 func (s *DiskStore) LoadedVersion() uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -372,8 +339,8 @@ func (s *DiskStore) LoadedVersion() uint64 {
 }
 
 // Flush persists the unflushed tail (or, after a wholesale reset, the full
-// content) as a new sorted segment plus index segments, then rotates to a
-// fresh append log and rewrites the manifest atomically. Replay is
+// content) as a new sorted segment, then rotates to a fresh append log and
+// rewrites the manifest atomically. Replay is
 // idempotent across the flush boundary because the manifest names the
 // active log: a crash anywhere in Flush recovers either the old manifest +
 // old log (flush never happened) or the new manifest + empty log (flush
@@ -432,9 +399,6 @@ func (s *DiskStore) Flush(version uint64) error {
 	s.dirtyAll = false
 	for _, sm := range obsolete {
 		os.Remove(filepath.Join(s.dir, sm.File))
-		for _, col := range s.indexCols {
-			os.Remove(ixPath(filepath.Join(s.dir, sm.File), col))
-		}
 	}
 	// The old log's rows are now covered by segments; drop it. If the
 	// process dies before the Remove lands, open-time cleanup deletes any
@@ -445,15 +409,11 @@ func (s *DiskStore) Flush(version uint64) error {
 	s.walFile = newWalFile
 	s.walRows = 0
 	s.loadedVer = version
-	// The fresh index segments refer to on-disk (sorted) row positions; the
-	// in-memory mirror keeps arrival order, so they only become usable at
-	// the next boot.
-	s.indexValid = false
 	return nil
 }
 
-// writeSegmentLocked flushes rows [lo, hi) of the snapshot as one segment
-// with its index segments. Caller holds s.mu.
+// writeSegmentLocked flushes rows [lo, hi) of the snapshot as one segment.
+// Caller holds s.mu.
 func (s *DiskStore) writeSegmentLocked(snap *Snapshot, lo, hi int) error {
 	n := hi - lo
 	// Materialize the segment's rows sorted by the clustered column (stable,
@@ -473,11 +433,6 @@ func (s *DiskStore) writeSegmentLocked(snap *Snapshot, lo, hi int) error {
 	if err != nil {
 		return err
 	}
-	for _, col := range s.indexCols {
-		if err := writeIndexSegment(ixPath(path, col), col, snap, perm, lo); err != nil {
-			return err
-		}
-	}
 	s.segs = append(s.segs, segMeta{File: base, Rows: n, zones: zones})
 	s.segRows = hi
 	return nil
@@ -495,7 +450,6 @@ func (s *DiskStore) writeManifestLocked(version uint64, walFile string) error {
 		SortedBy:    s.sortedBy,
 		DataVersion: version,
 		Seq:         s.seq,
-		IndexCols:   s.indexCols,
 		Wal:         walFile,
 		Segments:    s.segs,
 	}
@@ -552,9 +506,4 @@ func (s *DiskStore) Close() error {
 	err := s.wal.Close()
 	s.wal = nil
 	return err
-}
-
-// ixPath names the index segment file for a segment file and column.
-func ixPath(segPath string, col int) string {
-	return fmt.Sprintf("%s.ix%d", segPath[:len(segPath)-len(".seg")], col)
 }

@@ -1,54 +1,50 @@
 package storage
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+)
 
 // OrderedIndex is an ordered secondary index over one column: every row id
-// of the store, sorted by that column's value (ties in row order). Disk
-// stores persist one index segment per flush and merge them at load; the
-// merged index is valid only while it covers every row, so DiskStore stops
-// handing it out after an unflushed Append.
+// of a snapshot, sorted by that column's value, ties in ascending row id.
+// It is immutable once built, so any number of executions may probe it
+// concurrently. Snapshot.Index builds and shares one per (snapshot, column).
 type OrderedIndex struct {
-	col  int
 	keys []int64 // sorted ascending
-	rows []int64 // rows[i] is the row id holding keys[i]
+	rows []int32 // rows[i] is the row id holding keys[i]
 }
 
-// NewOrderedIndex sorts (key, rowid) pairs into an index. The inputs are
-// taken over (not copied).
-func NewOrderedIndex(col int, keys, rows []int64) *OrderedIndex {
-	ix := &OrderedIndex{col: col, keys: keys, rows: rows}
-	sort.Stable(ix)
+// NewOrderedIndex indexes keys[i] under row id i with one O(n log n) sort
+// of (key, row id) pairs. keys is read, not retained.
+func NewOrderedIndex(keys []int64) *OrderedIndex {
+	type entry struct {
+		key int64
+		row int32
+	}
+	ents := make([]entry, len(keys))
+	for i, k := range keys {
+		ents[i] = entry{k, int32(i)}
+	}
+	slices.SortFunc(ents, func(a, b entry) int {
+		if c := cmp.Compare(a.key, b.key); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.row, b.row)
+	})
+	ix := &OrderedIndex{keys: make([]int64, len(ents)), rows: make([]int32, len(ents))}
+	for i, e := range ents {
+		ix.keys[i], ix.rows[i] = e.key, e.row
+	}
 	return ix
 }
 
-// sort.Interface over the parallel (keys, rows) arrays.
-func (ix *OrderedIndex) Len() int           { return len(ix.keys) }
-func (ix *OrderedIndex) Less(i, j int) bool { return ix.keys[i] < ix.keys[j] }
-func (ix *OrderedIndex) Swap(i, j int) {
-	ix.keys[i], ix.keys[j] = ix.keys[j], ix.keys[i]
-	ix.rows[i], ix.rows[j] = ix.rows[j], ix.rows[i]
-}
-
-// Col is the indexed column offset.
-func (ix *OrderedIndex) Col() int { return ix.col }
-
-// RowIDs returns every row id in ascending key order. The slice is the
-// index's own storage; callers must not mutate it.
-func (ix *OrderedIndex) RowIDs() []int64 { return ix.rows }
-
-// Lookup returns the row ids whose key equals v, in insertion order.
-func (ix *OrderedIndex) Lookup(v int64) []int64 {
-	lo := sort.Search(len(ix.keys), func(i int) bool { return ix.keys[i] >= v })
-	hi := sort.Search(len(ix.keys), func(i int) bool { return ix.keys[i] > v })
-	return ix.rows[lo:hi:hi]
-}
-
-// Range returns the row ids whose key lies in [lo, hi], in key order.
-func (ix *OrderedIndex) Range(lo, hi int64) []int64 {
-	a := sort.Search(len(ix.keys), func(i int) bool { return ix.keys[i] >= lo })
-	b := sort.Search(len(ix.keys), func(i int) bool { return ix.keys[i] > hi })
-	if a >= b {
-		return nil
+// Lookup returns the row ids whose key equals v, in ascending order. The
+// slice is the index's own storage; callers must not mutate it.
+func (ix *OrderedIndex) Lookup(v int64) []int32 {
+	lo, _ := slices.BinarySearch(ix.keys, v)
+	hi := lo
+	for hi < len(ix.keys) && ix.keys[hi] == v {
+		hi++
 	}
-	return ix.rows[a:b:b]
+	return ix.rows[lo:hi:hi]
 }

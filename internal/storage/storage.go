@@ -1,7 +1,7 @@
 // Package storage is the pluggable table storage layer beneath the catalog:
 // a narrow Backend interface — columnar snapshots, batched append, segment
-// scans with predicate pushdown, ordered secondary-index lookups, and
-// data-version reporting — with two implementations.
+// scans with predicate pushdown, and data-version reporting — with two
+// implementations.
 //
 // MemStore wraps the in-memory column mirror every table has always had. It
 // keeps the zero-copy fast path exactly: the executor scans column windows
@@ -10,15 +10,19 @@
 // invalidates the columns an in-flight execution is reading (the old
 // snapshot stays intact for its holders; see Snapshot).
 //
+// Snapshots own the table's secondary indexes: Snapshot.Index builds an
+// OrderedIndex over one column on first use and shares it read-only with
+// every later caller of the same snapshot. Every Append and every content
+// change publishes a new snapshot, so an index can never be stale.
+//
 // DiskStore is a log-structured persistent backend layered over a MemStore:
 // every append is framed into a write-ahead log, and Flush compacts the
 // unflushed tail into an immutable column-segment file — rows sorted by the
-// table's clustered column, per-column zone maps (min/max) in the header,
-// and sorted (key, rowid) secondary-index segments using an
-// order-preserving int64 key encoding (see EncodeKey). On open, segments
-// and the log replay into the memory snapshot, so serving reads are as fast
-// as the pure in-memory store; the segment zone maps additionally let scans
-// skip whole segments that a pushed-down predicate proves empty.
+// table's clustered column, with per-column zone maps (min/max) in the
+// header. On open, segments and the log replay into the memory snapshot, so
+// serving reads are as fast as the pure in-memory store; the segment zone
+// maps additionally let scans skip whole segments that a pushed-down
+// predicate proves empty.
 package storage
 
 import (
@@ -76,13 +80,34 @@ type Pred struct {
 type Snapshot struct {
 	Cols [][]int64
 	N    int
+
+	ixMu sync.Mutex
+	ix   []*OrderedIndex // ix[c] indexes Cols[c][:N]; built on first Index(c)
+}
+
+// Index returns the ordered index over column col of this snapshot. The
+// first caller builds it (concurrent first callers wait for that one
+// build); every later caller gets the same read-only index, whose row ids
+// address this snapshot's Cols.
+func (s *Snapshot) Index(col int) *OrderedIndex {
+	s.ixMu.Lock()
+	defer s.ixMu.Unlock()
+	if s.ix == nil {
+		s.ix = make([]*OrderedIndex, len(s.Cols))
+	}
+	if s.ix[col] == nil {
+		s.ix[col] = NewOrderedIndex(s.Cols[col][:s.N])
+	}
+	return s.ix[col]
 }
 
 // Backend is the storage interface a catalog table binds to.
 type Backend interface {
 	// Kind names the implementation ("mem", "disk") for logs and tests.
 	Kind() string
-	// Snapshot returns the current immutable column-major view.
+	// Snapshot returns the current immutable column-major view. Append and
+	// every content-changing ResetRows publish a new one, so the indexes a
+	// snapshot owns (Snapshot.Index) always match its rows.
 	Snapshot() *Snapshot
 	// Append adds rows (batched; each row len must equal the store width),
 	// durably for persistent backends. The new rows are visible in
@@ -101,10 +126,6 @@ type Backend interface {
 	// predicate pruning effective (the clustered column for a DiskStore),
 	// or nil. The optimizer uses this to enumerate segment-pruned scans.
 	ZoneCols() []int
-	// OrderedIndex returns the persisted ordered secondary index on a
-	// column, or nil when none exists or it does not cover every row
-	// (e.g. after unflushed appends).
-	OrderedIndex(col int) *OrderedIndex
 	// LoadedVersion reports the data version persisted at the last
 	// Flush (0 for volatile backends or a fresh directory).
 	LoadedVersion() uint64

@@ -1,8 +1,6 @@
 package storage
 
 import (
-	"bytes"
-	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -44,34 +42,6 @@ func sortRows(rows [][]int64) {
 		}
 		return false
 	})
-}
-
-func TestEncodeKeyPreservesOrder(t *testing.T) {
-	vals := []int64{math.MinInt64, math.MinInt64 + 1, -1e12, -2, -1, 0, 1, 2, 7, 1e12, math.MaxInt64 - 1, math.MaxInt64}
-	rng := rand.New(rand.NewSource(7))
-	for i := 0; i < 200; i++ {
-		vals = append(vals, rng.Int63()-rng.Int63())
-	}
-	var a, b [8]byte
-	for _, x := range vals {
-		for _, y := range vals {
-			EncodeKey(a[:], x)
-			EncodeKey(b[:], y)
-			cmp := bytes.Compare(a[:], b[:])
-			want := 0
-			if x < y {
-				want = -1
-			} else if x > y {
-				want = 1
-			}
-			if cmp != want {
-				t.Fatalf("EncodeKey order broken: %d vs %d -> %d, want %d", x, y, cmp, want)
-			}
-		}
-		if got := DecodeKey(a[:]); got != x {
-			t.Fatalf("DecodeKey(EncodeKey(%d)) = %d", x, got)
-		}
-	}
 }
 
 func TestMemStoreSnapshotIsolation(t *testing.T) {
@@ -131,7 +101,7 @@ func TestMemStoreConcurrentAppendScan(t *testing.T) {
 
 func TestDiskStoreRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	s, err := OpenDiskStore(dir, "t", 2, 0, []int{1})
+	s, err := OpenDiskStore(dir, "t", 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +116,9 @@ func TestDiskStoreRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s2, err := OpenDiskStore(dir, "t", 2, 0, []int{1})
+	assertOnlyDataFiles(t, dir)
+
+	s2, err := OpenDiskStore(dir, "t", 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,28 +131,77 @@ func TestDiskStoreRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(got, [][]int64{row(1, 10), row(2, 20), row(3, 30)}) {
 		t.Fatalf("reloaded rows = %v", got)
 	}
-	ix := s2.OrderedIndex(1)
-	if ix == nil {
-		t.Fatal("no ordered index after clean reload")
-	}
-	if ids := ix.Lookup(20); len(ids) != 1 || ids[0] != 1 {
+	// The reloaded snapshot indexes its rows in their loaded (sorted)
+	// positions.
+	if ids := s2.Snapshot().Index(1).Lookup(20); !reflect.DeepEqual(ids, []int32{1}) {
 		t.Fatalf("Lookup(20) = %v, want [1]", ids)
 	}
-	if ids := ix.RowIDs(); !reflect.DeepEqual(ids, []int64{0, 1, 2}) {
-		t.Fatalf("RowIDs = %v", ids)
-	}
-	// An unflushed append invalidates the persisted index.
-	if err := s2.Append([][]int64{row(9, 90)}); err != nil {
+}
+
+// assertOnlyDataFiles asserts a flushed table directory holds nothing but
+// the manifest, append logs and column segments.
+func assertOnlyDataFiles(t *testing.T, dir string) {
+	t.Helper()
+	ents, err := os.ReadDir(dir)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if s2.OrderedIndex(1) != nil {
-		t.Fatal("index survived an unflushed append")
+	for _, e := range ents {
+		name := e.Name()
+		seg, _ := filepath.Match("seg-*.seg", name)
+		wal, _ := filepath.Match("wal-*.log", name)
+		if name != manifestName && !seg && !wal {
+			t.Fatalf("unexpected file %s in a flushed data directory", name)
+		}
 	}
+}
+
+// TestDiskStoreDropsIndexSegments opens a table directory written by a
+// version that persisted index segments (manifest index_cols plus a
+// seg-*.ix1 file beside the segment, and an unflushed log record): the
+// index files are deleted and the same rows are served.
+func TestDiskStoreDropsIndexSegments(t *testing.T) {
+	dir := t.TempDir()
+	src := filepath.Join("testdata", "indexsegs")
+	ents, err := os.ReadDir(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range ents {
+		raw, err := os.ReadFile(filepath.Join(src, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, e.Name()), raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := os.Stat(filepath.Join(dir, "seg-000000.ix1")); err != nil {
+		t.Fatalf("fixture lacks its index segment: %v", err)
+	}
+	s, err := OpenDiskStore(dir, "t", 2, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	assertOnlyDataFiles(t, dir)
+	if got := s.LoadedVersion(); got != 7 {
+		t.Fatalf("LoadedVersion = %d, want 7", got)
+	}
+	got := collect(s.Scan(nil, 0), 2)
+	want := [][]int64{row(1, 10), row(2, 20), row(2, 21), row(3, 30), row(0, 5)}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("rows = %v, want %v", got, want)
+	}
+	if err := s.Flush(8); err != nil {
+		t.Fatal(err)
+	}
+	assertOnlyDataFiles(t, dir)
 }
 
 func TestDiskStoreWALReplayAndTornTail(t *testing.T) {
 	dir := t.TempDir()
-	s, err := OpenDiskStore(dir, "t", 2, -1, nil)
+	s, err := OpenDiskStore(dir, "t", 2, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +226,7 @@ func TestDiskStoreWALReplayAndTornTail(t *testing.T) {
 	}
 	f.Close()
 
-	s2, err := OpenDiskStore(dir, "t", 2, -1, nil)
+	s2, err := OpenDiskStore(dir, "t", 2, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +241,7 @@ func TestDiskStoreWALReplayAndTornTail(t *testing.T) {
 	if err := s2.Close(); err != nil {
 		t.Fatal(err)
 	}
-	s3, err := OpenDiskStore(dir, "t", 2, -1, nil)
+	s3, err := OpenDiskStore(dir, "t", 2, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +253,7 @@ func TestDiskStoreWALReplayAndTornTail(t *testing.T) {
 
 func TestDiskStoreZonePruningDifferential(t *testing.T) {
 	dir := t.TempDir()
-	s, err := OpenDiskStore(dir, "t", 2, 0, nil)
+	s, err := OpenDiskStore(dir, "t", 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -328,7 +349,7 @@ func filterRows(rows [][]int64, preds []Pred) [][]int64 {
 
 func TestDiskStoreResetRows(t *testing.T) {
 	dir := t.TempDir()
-	s, err := OpenDiskStore(dir, "t", 1, 0, nil)
+	s, err := OpenDiskStore(dir, "t", 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -351,7 +372,7 @@ func TestDiskStoreResetRows(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	s2, err := OpenDiskStore(dir, "t", 1, 0, nil)
+	s2, err := OpenDiskStore(dir, "t", 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -371,7 +392,7 @@ func TestDiskStoreResetRows(t *testing.T) {
 // covers. Replay must not duplicate them.
 func TestDiskStoreFlushCrashWindowNoDuplication(t *testing.T) {
 	dir := t.TempDir()
-	s, err := OpenDiskStore(dir, "t", 2, 0, nil)
+	s, err := OpenDiskStore(dir, "t", 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -394,7 +415,7 @@ func TestDiskStoreFlushCrashWindowNoDuplication(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s2, err := OpenDiskStore(dir, "t", 2, 0, nil)
+	s2, err := OpenDiskStore(dir, "t", 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -413,7 +434,7 @@ func TestDiskStoreFlushCrashWindowNoDuplication(t *testing.T) {
 	if err := s2.Close(); err != nil {
 		t.Fatal(err)
 	}
-	s3, err := OpenDiskStore(dir, "t", 2, 0, nil)
+	s3, err := OpenDiskStore(dir, "t", 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -425,10 +446,11 @@ func TestDiskStoreFlushCrashWindowNoDuplication(t *testing.T) {
 
 // TestDiskStoreResetRowsSameCountNewContent covers the wholesale
 // replacement that keeps the row count (a full sliding window): segments
-// must be rewritten at the next flush and the persisted indexes dropped.
+// must be rewritten at the next flush and the snapshot's index must index
+// the new rows.
 func TestDiskStoreResetRowsSameCountNewContent(t *testing.T) {
 	dir := t.TempDir()
-	s, err := OpenDiskStore(dir, "t", 1, 0, []int{0})
+	s, err := OpenDiskStore(dir, "t", 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -441,16 +463,14 @@ func TestDiskStoreResetRowsSameCountNewContent(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	s2, err := OpenDiskStore(dir, "t", 1, 0, []int{0})
+	s2, err := OpenDiskStore(dir, "t", 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s2.OrderedIndex(0) == nil {
-		t.Fatal("no ordered index after clean reload")
-	}
+	old := s2.Snapshot().Index(0)
 	s2.ResetRows([][]int64{row(7), row(8), row(9)})
-	if s2.OrderedIndex(0) != nil {
-		t.Fatal("index survived a same-count content change")
+	if ix := s2.Snapshot().Index(0); ix == old || len(ix.Lookup(8)) != 1 || len(ix.Lookup(2)) != 0 {
+		t.Fatal("the index survived a same-count content change")
 	}
 	// The old zones (1..3) would prune this predicate; the new rows all
 	// match it.
@@ -464,7 +484,7 @@ func TestDiskStoreResetRowsSameCountNewContent(t *testing.T) {
 	if err := s2.Close(); err != nil {
 		t.Fatal(err)
 	}
-	s3, err := OpenDiskStore(dir, "t", 1, 0, []int{0})
+	s3, err := OpenDiskStore(dir, "t", 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -481,7 +501,7 @@ func TestDiskStoreResetRowsSameCountNewContent(t *testing.T) {
 // it are captured atomically.
 func TestDiskStoreScanConcurrentResetRows(t *testing.T) {
 	dir := t.TempDir()
-	s, err := OpenDiskStore(dir, "t", 2, 0, nil)
+	s, err := OpenDiskStore(dir, "t", 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -538,15 +558,114 @@ func TestDiskStoreScanConcurrentResetRows(t *testing.T) {
 	}
 }
 
-func TestOrderedIndexRange(t *testing.T) {
-	ix := NewOrderedIndex(0, []int64{5, 1, 3, 3, 9}, []int64{0, 1, 2, 3, 4})
-	if ids := ix.Lookup(3); !reflect.DeepEqual(ids, []int64{2, 3}) {
-		t.Fatalf("Lookup(3) = %v", ids)
+func TestOrderedIndexLookup(t *testing.T) {
+	ix := NewOrderedIndex([]int64{5, 3, 1, 3, 9, 3})
+	for _, c := range []struct {
+		key  int64
+		want []int32
+	}{
+		{3, []int32{1, 3, 5}}, // duplicates in ascending row order
+		{5, []int32{0}},
+		{9, []int32{4}},
+		{4, []int32{}},
+		{0, []int32{}},
+		{10, []int32{}},
+	} {
+		if got := ix.Lookup(c.key); !reflect.DeepEqual(got, c.want) {
+			t.Fatalf("Lookup(%d) = %v, want %v", c.key, got, c.want)
+		}
 	}
-	if ids := ix.Range(2, 5); !reflect.DeepEqual(ids, []int64{2, 3, 0}) {
-		t.Fatalf("Range(2,5) = %v", ids)
+	if got := NewOrderedIndex(nil).Lookup(1); len(got) != 0 {
+		t.Fatalf("empty index Lookup = %v", got)
 	}
-	if ids := ix.Range(10, 20); ids != nil {
-		t.Fatalf("Range(10,20) = %v, want nil", ids)
+}
+
+// TestOrderedIndexMatchesScan checks every lookup of a large index with
+// many duplicates against a linear scan.
+func TestOrderedIndexMatchesScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	keys := make([]int64, 5000)
+	for i := range keys {
+		keys[i] = rng.Int63n(700) - 350
+	}
+	ix := NewOrderedIndex(keys)
+	for k := int64(-360); k <= 360; k++ {
+		want := []int32{}
+		for i, v := range keys {
+			if v == k {
+				want = append(want, int32(i))
+			}
+		}
+		if got := ix.Lookup(k); !reflect.DeepEqual(got, want) {
+			t.Fatalf("Lookup(%d) = %v, want %v", k, got, want)
+		}
+	}
+}
+
+// TestSnapshotIndexVersioned checks that a snapshot builds one index per
+// column and shares it, and that Append and ResetRows publish snapshots
+// with their own index while the old snapshot's index stays untouched.
+func TestSnapshotIndexVersioned(t *testing.T) {
+	mem := NewMemStoreRows(2, [][]int64{row(1, 10), row(2, 20), row(1, 11)})
+	disk, err := OpenDiskStore(t.TempDir(), "t", 2, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer disk.Close()
+	disk.ResetRows([][]int64{row(1, 10), row(2, 20), row(1, 11)})
+	for _, s := range []Backend{mem, disk} {
+		s0 := s.Snapshot()
+		ix0 := s0.Index(0)
+		if s0.Index(0) != ix0 {
+			t.Fatalf("%s: one snapshot built two indexes", s.Kind())
+		}
+		if s0.Index(1) == ix0 {
+			t.Fatalf("%s: two columns share one index", s.Kind())
+		}
+		if err := s.Append([][]int64{row(1, 12)}); err != nil {
+			t.Fatal(err)
+		}
+		s1 := s.Snapshot()
+		if got := s1.Index(0).Lookup(1); !reflect.DeepEqual(got, []int32{0, 2, 3}) {
+			t.Fatalf("%s: after Append, Lookup(1) = %v", s.Kind(), got)
+		}
+		s.ResetRows([][]int64{row(2, 20), row(3, 30)})
+		if got := s.Snapshot().Index(0).Lookup(2); !reflect.DeepEqual(got, []int32{0}) {
+			t.Fatalf("%s: after ResetRows, Lookup(2) = %v", s.Kind(), got)
+		}
+		if got := ix0.Lookup(1); !reflect.DeepEqual(got, []int32{0, 2}) {
+			t.Fatalf("%s: the first snapshot's index changed: Lookup(1) = %v", s.Kind(), got)
+		}
+		if got := s1.Index(0).Lookup(1); !reflect.DeepEqual(got, []int32{0, 2, 3}) {
+			t.Fatalf("%s: the second snapshot's index changed: Lookup(1) = %v", s.Kind(), got)
+		}
+	}
+}
+
+// TestSnapshotIndexConcurrentFirstUse races first callers of one
+// snapshot's index: all must receive the same index.
+func TestSnapshotIndexConcurrentFirstUse(t *testing.T) {
+	keys := make([][]int64, 2000)
+	for i := range keys {
+		keys[i] = row(int64(i%97), int64(i))
+	}
+	snap := NewMemStoreRows(2, keys).Snapshot()
+	got := make([]*OrderedIndex, 8)
+	var wg sync.WaitGroup
+	for g := range got {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			got[g] = snap.Index(0)
+		}(g)
+	}
+	wg.Wait()
+	for _, ix := range got {
+		if ix != got[0] {
+			t.Fatal("concurrent first callers got different indexes")
+		}
+	}
+	if n := len(got[0].Lookup(5)); n != 21 {
+		t.Fatalf("Lookup(5) found %d rows, want 21", n)
 	}
 }

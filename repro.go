@@ -175,9 +175,11 @@
 // persistent backend under that directory instead: appends write through a
 // synced write-ahead log, and a graceful Server.Shutdown flushes the
 // unflushed tail into immutable column-segment files (rows sorted by the
-// table's clustered column, per-column min/max zone maps, plus ordered
-// secondary-index segments under an order-preserving key encoding). On the
-// next boot the directory wins over generated seed data: segments and log
+// table's clustered column, per-column min/max zone maps). Secondary
+// indexes are not persisted: each storage snapshot builds its sorted
+// (key, rowid) index on first use and shares it with every execution that
+// holds the snapshot. On the next boot the directory wins over generated
+// seed data: segments and log
 // replay into memory, data versions carry over (so result-cache
 // invalidation state survives), and the server serves byte-identical
 // results with zero regeneration. Segment zone maps also give the
