@@ -392,3 +392,37 @@ AND s.s_suppkey = ps.ps_suppkey AND ps.ps_partkey = p.p_partkey AND p.p_partkey 
 		}
 	}
 }
+
+// BenchmarkExecSegTollS executes the Linear Road SegTollS plan the
+// optimizer picks for the windows after 120 one-second slices of a
+// 150-car stream, at P=1 over the window rows (the stream loop's Data
+// hook). Run with -benchmem; the join → COUNT(DISTINCT) aggregate path
+// dominates.
+func BenchmarkExecSegTollS(b *testing.B) {
+	gen := linearroad.NewGen(1, 150)
+	win := linearroad.NewWindows()
+	for s := int64(0); s < 120; s++ {
+		win.Ingest(gen.Slice(s, s+1))
+	}
+	win.Materialize()
+	q := linearroad.SegTollS()
+	opt, err := NewOptimizer(q, win.Catalog())
+	if err != nil {
+		b.Fatal(err)
+	}
+	plan, err := opt.Optimize()
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		comp := &exec.Compiler{Q: q, Cat: win.Catalog(), Data: win.Data, Parallelism: 1}
+		v, _, err := comp.CompileVec(plan)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := exec.DrainVec(v); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -18,8 +18,9 @@ type AggSpecExec struct {
 // group ids hashed directly on the int64 group-key columns, with all group
 // state (keys, sums, counts) in flat arrays. Adding a row allocates nothing
 // beyond amortized slice growth — no per-row key string, no per-group
-// state struct — which is what keeps the aggregation hot path off the
-// allocator at any parallelism.
+// state struct, and COUNT(DISTINCT) values live in one flat set for the
+// whole table rather than a set per group — which is what keeps the
+// aggregation hot path off the allocator at any parallelism.
 type aggTable struct {
 	spec AggSpecExec
 	gw   int // group-key width
@@ -33,10 +34,75 @@ type aggTable struct {
 	sums   []int64 // group g's sums at [g*sw, (g+1)*sw)
 	counts []int64
 	idCols []int // 0..gw-1, for inserting already-extracted flat keys
-	// distinct value sets per (group, CountDistinct column); the only
-	// per-group allocation left, and only for COUNT(DISTINCT) queries.
-	distinct []map[int64]struct{}
-	n        int
+	dist   distinctSet
+	n      int
+}
+
+// distinctSet holds the COUNT(DISTINCT) state of an aggTable: one
+// open-addressing set of (g*dw+col, value) entries for every group and
+// distinct column, plus the number of distinct values per (group, column).
+// Entries live in the slots themselves, so a probe touches one cache line.
+type distinctSet struct {
+	mask  uint64
+	slots []distinctEntry
+	n     int     // occupied slots
+	count []int64 // distinct values per group·dw+column
+}
+
+// distinctEntry is one slot: set id gc+1 (0 = empty) and the value.
+type distinctEntry struct {
+	gc int32
+	v  int64
+}
+
+func distinctHash(gc int32, v int64) uint64 {
+	h := (hashSeed ^ uint64(gc)) * hashMul
+	h = (h ^ uint64(v)) * hashMul
+	return h ^ h>>32
+}
+
+// insert adds value v to set gc, counting it if new.
+func (d *distinctSet) insert(gc int32, v int64) {
+	if d.slots == nil {
+		d.slots = make([]distinctEntry, aggInitSlots)
+		d.mask = aggInitSlots - 1
+	}
+	for s := distinctHash(gc, v) & d.mask; ; s = (s + 1) & d.mask {
+		e := &d.slots[s]
+		if e.gc == 0 {
+			*e = distinctEntry{gc: gc + 1, v: v}
+			d.n++
+			d.count[gc]++
+			if uint64(d.n)*4 > (d.mask+1)*3 {
+				d.grow()
+			}
+			return
+		}
+		if e.gc == gc+1 && e.v == v {
+			return
+		}
+	}
+}
+
+func (d *distinctSet) grow() {
+	old := d.slots
+	d.mask = 2*(d.mask+1) - 1
+	d.slots = make([]distinctEntry, d.mask+1)
+	for _, e := range old {
+		if e.gc == 0 {
+			continue
+		}
+		s := distinctHash(e.gc-1, e.v) & d.mask
+		for d.slots[s].gc != 0 {
+			s = (s + 1) & d.mask
+		}
+		d.slots[s] = e
+	}
+}
+
+// bytes is the set's allocated footprint: slots and counts.
+func (d *distinctSet) bytes() int64 {
+	return int64(len(d.slots))*16 + int64(cap(d.count))*8
 }
 
 const aggInitSlots = 256 // power of two
@@ -92,14 +158,14 @@ func (t *aggTable) addBatch(cols [][]int64, n int, sel []int, s *aggScratch) {
 		}
 	}
 	for di, c := range t.spec.CountDistinct {
-		col := cols[c]
+		col, dw := cols[c], int32(t.dw)
 		if sel == nil {
 			for i := 0; i < n; i++ {
-				t.distinct[int(s.gids[i])*t.dw+di][col[i]] = struct{}{}
+				t.dist.insert(s.gids[i]*dw+int32(di), col[i])
 			}
 		} else {
 			for k, i := range sel {
-				t.distinct[int(s.gids[k])*t.dw+di][col[i]] = struct{}{}
+				t.dist.insert(s.gids[k]*dw+int32(di), col[i])
 			}
 		}
 	}
@@ -216,9 +282,7 @@ func (t *aggTable) findOrCreateCols(h uint64, cols [][]int64, i int) int {
 			}
 			t.sums = append(t.sums, make([]int64, t.sw)...)
 			t.counts = append(t.counts, 0)
-			for d := 0; d < t.dw; d++ {
-				t.distinct = append(t.distinct, map[int64]struct{}{})
-			}
+			t.dist.count = append(t.dist.count, make([]int64, t.dw)...)
 			if uint64(t.n)*4 > (t.mask+1)*3 {
 				t.grow()
 			}
@@ -277,9 +341,7 @@ func (t *aggTable) newGroup(slot uint64, h uint64, r Row, cols []int) int {
 	}
 	t.sums = append(t.sums, make([]int64, t.sw)...)
 	t.counts = append(t.counts, 0)
-	for i := 0; i < t.dw; i++ {
-		t.distinct = append(t.distinct, map[int64]struct{}{})
-	}
+	t.dist.count = append(t.dist.count, make([]int64, t.dw)...)
 	// Grow at 3/4 load; rehashing only touches the slot array (hashes are
 	// stored per group).
 	if uint64(t.n)*4 > (t.mask+1)*3 {
@@ -289,12 +351,13 @@ func (t *aggTable) newGroup(slot uint64, h uint64, r Row, cols []int) int {
 }
 
 // approxBytes estimates the table's tracked footprint: the slot array plus
-// per-group hash, key, sum and count storage (and a nominal map allowance
-// per COUNT(DISTINCT) set). Monotone in n, so charging the delta after each
-// batch keeps the reservation current.
+// per-group hash, key, sum and count storage, plus the COUNT(DISTINCT)
+// set's allocated slots (which hold its entries) and counts. Monotone as
+// the table fills, so charging the delta after each batch keeps the
+// reservation current.
 func (t *aggTable) approxBytes() int64 {
-	per := int64(8 + t.gw*8 + t.sw*8 + 8 + t.dw*48)
-	return int64(t.mask+1)*4 + int64(t.n)*per
+	per := int64(8 + t.gw*8 + t.sw*8 + 8)
+	return int64(t.mask+1)*4 + int64(t.n)*per + t.dist.bytes()
 }
 
 func (t *aggTable) grow() {
@@ -314,17 +377,24 @@ func (t *aggTable) grow() {
 // merge of worker-local aggregation state in the parallel pipeline. Both
 // tables must share the same spec.
 func (t *aggTable) mergeFrom(o *aggTable) {
+	var remap []int32 // o's group id -> t's, for the distinct entries
+	if t.dw > 0 {
+		remap = make([]int32, o.n)
+	}
 	for g := 0; g < o.n; g++ {
 		tg := t.findOrCreateKey(o.hashes[g], o.keys[g*o.gw:(g+1)*o.gw])
 		for i := 0; i < t.sw; i++ {
 			t.sums[tg*t.sw+i] += o.sums[g*o.sw+i]
 		}
 		t.counts[tg] += o.counts[g]
-		for i := 0; i < t.dw; i++ {
-			dst := t.distinct[tg*t.dw+i]
-			for v := range o.distinct[g*o.dw+i] {
-				dst[v] = struct{}{}
-			}
+		if remap != nil {
+			remap[g] = int32(tg)
+		}
+	}
+	dw := int32(t.dw)
+	for _, e := range o.dist.slots {
+		if gc := e.gc - 1; gc >= 0 {
+			t.dist.insert(remap[gc/dw]*dw+gc%dw, e.v)
 		}
 	}
 }
@@ -350,9 +420,7 @@ func (t *aggTable) rows() []Row {
 		if t.spec.CountAll {
 			row = append(row, t.counts[g])
 		}
-		for i := 0; i < t.dw; i++ {
-			row = append(row, int64(len(t.distinct[g*t.dw+i])))
-		}
+		row = append(row, t.dist.count[g*t.dw:(g+1)*t.dw]...)
 		out = append(out, row)
 	}
 	sort.Slice(out, func(i, j int) bool { return rowLess(out[i], out[j]) })

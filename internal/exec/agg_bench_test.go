@@ -141,3 +141,67 @@ func BenchmarkAggTable(b *testing.B) {
 		}
 	})
 }
+
+// TestAggDistinctMatchesReference holds the flat COUNT(DISTINCT) set
+// against per-group Go maps, over enough groups and values to force slot
+// collisions and several grows, both filled directly and merged from
+// partial tables.
+func TestAggDistinctMatchesReference(t *testing.T) {
+	spec := AggSpecExec{GroupBy: []int{0}, CountAll: true, CountDistinct: []int{1, 2}}
+	rng := rand.New(rand.NewSource(11))
+	rows := make([]Row, 50000)
+	ref := map[int64][2]map[int64]bool{}
+	for i := range rows {
+		g := int64(rng.Intn(300))
+		rows[i] = Row{g, int64(rng.Intn(5000)), int64(rng.Intn(40))}
+		sets, ok := ref[g]
+		if !ok {
+			sets = [2]map[int64]bool{{}, {}}
+			ref[g] = sets
+		}
+		sets[0][rows[i][1]] = true
+		sets[1][rows[i][2]] = true
+	}
+	direct := newAggTable(spec)
+	addRows(direct, rows)
+	merged := newAggTable(spec)
+	for lo := 0; lo < len(rows); lo += 7000 {
+		part := newAggTable(spec)
+		addRows(part, rows[lo:min(lo+7000, len(rows))])
+		merged.mergeFrom(part)
+	}
+	for name, tab := range map[string]*aggTable{"direct": direct, "merged": merged} {
+		out := tab.rows()
+		if len(out) != len(ref) {
+			t.Fatalf("%s: %d groups, reference %d", name, len(out), len(ref))
+		}
+		for _, r := range out {
+			sets := ref[r[0]]
+			if r[2] != int64(len(sets[0])) || r[3] != int64(len(sets[1])) {
+				t.Fatalf("%s: group %d distinct counts %v, reference %d and %d",
+					name, r[0], r[2:], len(sets[0]), len(sets[1]))
+			}
+		}
+	}
+}
+
+// TestAggDistinctCharged checks the memory charge of COUNT(DISTINCT)
+// state: a group holding many distinct values is charged at least one
+// entry (an int32 set id and an int64 value) per value, not a flat
+// per-group allowance.
+func TestAggDistinctCharged(t *testing.T) {
+	const n = 20000
+	spec := AggSpecExec{GroupBy: []int{0}, CountDistinct: []int{1}}
+	rows := make([]Row, n)
+	for i := range rows {
+		rows[i] = Row{7, int64(i)}
+	}
+	tab := newAggTable(spec)
+	addRows(tab, rows)
+	if out := tab.rows(); len(out) != 1 || out[0][1] != n {
+		t.Fatalf("rows = %v, want one group counting %d values", out, n)
+	}
+	if got, want := tab.approxBytes(), int64(n*12); got < want {
+		t.Fatalf("charged %d bytes for %d distinct values, want at least %d", got, n, want)
+	}
+}

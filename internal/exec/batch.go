@@ -249,6 +249,7 @@ func drainVecCols(in VecIterator) (colData, error) {
 type vecScanOp struct {
 	data   colData
 	filter ScanFilter
+	out    int // leading data columns emitted; the rest only feed the filter
 	pos    int
 	batch  Batch
 	sel    []int
@@ -260,7 +261,7 @@ type vecScanOp struct {
 // conditions in the filter are evaluated with typed columnar kernels (one
 // operator dispatch per batch over contiguous slices).
 func NewVecScan(cols [][]int64, n int, filter ScanFilter) VecIterator {
-	return &vecScanOp{data: colData{cols: cols, n: n}, filter: filter}
+	return &vecScanOp{data: colData{cols: cols, n: n}, filter: filter, out: len(cols)}
 }
 
 // NewVecScanRows is NewVecScan over row-major input, transposed once at
@@ -271,7 +272,7 @@ func NewVecScanRows(rows [][]int64, filter ScanFilter) VecIterator {
 		arity = len(rows[0])
 	}
 	d := transposeRows(rows, arity)
-	return &vecScanOp{data: d, filter: filter}
+	return &vecScanOp{data: d, filter: filter, out: arity}
 }
 
 func (s *vecScanOp) Open() error { s.pos = 0; return nil }
@@ -286,18 +287,18 @@ func (s *vecScanOp) Next() (*Batch, error) {
 		s.pos = end
 		s.batch.Cols = s.data.window(s.batch.Cols, lo, end)
 		s.batch.N = end - lo
-		if s.filter.Empty() {
-			s.batch.Sel = nil
-			return &s.batch, nil
+		s.batch.Sel = nil
+		if !s.filter.Empty() {
+			if s.sel == nil {
+				s.sel = make([]int, 0, BatchSize)
+			}
+			s.sel = s.filter.SelCols(s.batch.Cols, s.batch.N, s.sel)
+			if len(s.sel) == 0 {
+				continue
+			}
+			s.batch.Sel = s.sel
 		}
-		if s.sel == nil {
-			s.sel = make([]int, 0, BatchSize)
-		}
-		s.sel = s.filter.SelCols(s.batch.Cols, s.batch.N, s.sel)
-		if len(s.sel) == 0 {
-			continue
-		}
-		s.batch.Sel = s.sel
+		s.batch.Cols = s.batch.Cols[:s.out]
 		return &s.batch, nil
 	}
 	return nil, nil

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/catalog"
 	"repro/internal/obs"
@@ -103,6 +104,117 @@ type Compiler struct {
 	// decisions maps plan nodes to their resolved cache decision for the
 	// current CompileVec call.
 	decisions map[*relalg.Plan]*cacheDecision
+	// setBuf is the arena the current CompileVec call carves its colSets
+	// from.
+	setBuf []uint64
+}
+
+// colSet is a set of query columns — the columns the ancestors of a plan
+// node read — as one bitmask of column offsets per query relation. A nil
+// colSet holds every column: what a non-aggregate root and a result-cache
+// subtree must emit. Offsets past 63 are always members.
+type colSet []uint64
+
+func (s colSet) has(c relalg.ColID) bool {
+	return s == nil || c.Off >= 64 || s[c.Rel]&(1<<uint(c.Off)) != 0
+}
+
+func (s colSet) add(c relalg.ColID) {
+	if c.Off < 64 {
+		s[c.Rel] |= 1 << uint(c.Off)
+	}
+}
+
+// newSet returns an empty colSet carved from the compilation's arena.
+func (c *Compiler) newSet() colSet {
+	n := len(c.Q.Rels)
+	if len(c.setBuf) < n {
+		c.setBuf = make([]uint64, 16*n)
+	}
+	s := colSet(c.setBuf[:n:n])
+	c.setBuf = c.setBuf[n:]
+	return s
+}
+
+// extend returns a copy of need with cols added; nil (every column) stays
+// nil.
+func (c *Compiler) extend(need colSet, cols ...relalg.ColID) colSet {
+	if need == nil {
+		return nil
+	}
+	s := c.newSet()
+	copy(s, need)
+	for _, col := range cols {
+		s.add(col)
+	}
+	return s
+}
+
+// rootNeed is what the operator tree must emit: the aggregation's input
+// columns, or every column when the query does not aggregate.
+func (c *Compiler) rootNeed() colSet {
+	agg := c.Q.Agg
+	if agg == nil {
+		return nil
+	}
+	s := c.newSet()
+	for _, col := range agg.GroupBy {
+		s.add(col)
+	}
+	for _, col := range agg.Sums {
+		s.add(col)
+	}
+	for _, col := range agg.CountDistinct {
+		s.add(col)
+	}
+	return s
+}
+
+// inputNeed is what a join's inputs must supply: the columns its ancestors
+// read plus those of every join predicate and residual filter evaluated at
+// the join.
+func (c *Compiler) inputNeed(p *relalg.Plan, need colSet) colSet {
+	s := c.extend(need)
+	if s == nil {
+		return nil
+	}
+	lset, rset := p.Left.Expr, p.Right.Expr
+	for _, jp := range c.Q.Joins {
+		if jp.Crosses(lset, rset) {
+			s.add(jp.L)
+			s.add(jp.R)
+		}
+	}
+	for _, f := range c.Q.Filters {
+		if (relalg.JoinPred{L: f.L, R: f.R}).Crosses(lset, rset) {
+			s.add(f.L)
+			s.add(f.R)
+		}
+	}
+	return s
+}
+
+// joinOutput selects a join's emitted columns: the positions in the build
+// (ls) and probe (rs) input schemas of the columns need holds, and the
+// output schema they form, in input order. With need nil the output is
+// build ++ probe unchanged.
+func joinOutput(ls, rs []relalg.ColID, need colSet) (outB, outP []int, schema []relalg.ColID) {
+	idx := make([]int, 0, len(ls)+len(rs))
+	schema = make([]relalg.ColID, 0, len(ls)+len(rs))
+	for i, col := range ls {
+		if need.has(col) {
+			idx = append(idx, i)
+			schema = append(schema, col)
+		}
+	}
+	nb := len(idx)
+	for i, col := range rs {
+		if need.has(col) {
+			idx = append(idx, i)
+			schema = append(schema, col)
+		}
+	}
+	return idx[:nb:nb], idx[nb:], schema
 }
 
 // CompileVec builds the vectorized (batch-at-a-time) operator tree for
@@ -112,6 +224,7 @@ type Compiler struct {
 func (c *Compiler) CompileVec(plan *relalg.Plan) (VecIterator, *RunStats, error) {
 	stats := &RunStats{Cards: map[relalg.RelSet]*int64{}}
 	c.resolveCache()
+	c.setBuf = nil
 	if c.Mem == nil && c.MemBudgetBytes > 0 {
 		c.Mem = NewMemTracker(c.MemBudgetBytes)
 	}
@@ -133,7 +246,7 @@ func (c *Compiler) CompileVec(plan *relalg.Plan) (VecIterator, *RunStats, error)
 		if c.Q.Agg != nil {
 			minStages = 0
 		}
-		op, schema, ok, err := c.compilePipeline(plan, stats, minStages)
+		op, schema, ok, err := c.compilePipeline(plan, stats, c.rootNeed(), minStages)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -155,7 +268,7 @@ func (c *Compiler) CompileVec(plan *relalg.Plan) (VecIterator, *RunStats, error)
 			return op, stats, nil
 		}
 	}
-	v, schema, err := c.compileVec(plan, stats)
+	v, schema, err := c.compileVec(plan, stats, c.rootNeed())
 	if err != nil {
 		return nil, nil, err
 	}
@@ -260,8 +373,8 @@ func (c *Compiler) indexed(rel, col int) (colData, *storage.OrderedIndex, error)
 // compileVec compiles one plan node via compileVecNode and — when
 // profiling — wraps the result in the timing shim for that node. Fused
 // pipelines are exempt: they register their own per-stage spans.
-func (c *Compiler) compileVec(p *relalg.Plan, stats *RunStats) (VecIterator, []relalg.ColID, error) {
-	v, schema, err := c.compileVecNode(p, stats)
+func (c *Compiler) compileVec(p *relalg.Plan, stats *RunStats, need colSet) (VecIterator, []relalg.ColID, error) {
+	v, schema, err := c.compileVecNode(p, stats, need)
 	if err != nil || c.Prof == nil {
 		return v, schema, err
 	}
@@ -272,8 +385,11 @@ func (c *Compiler) compileVec(p *relalg.Plan, stats *RunStats) (VecIterator, []r
 }
 
 // compileVecNode compiles one plan node and returns the operator and its
-// output schema (the ColID of every output column, in order).
-func (c *Compiler) compileVecNode(p *relalg.Plan, stats *RunStats) (VecIterator, []relalg.ColID, error) {
+// output schema (the ColID of every output column, in order). need is the
+// set of columns the node's ancestors read: joins and scans emit only
+// those (plus, for a sorted scan, its sort column), so unread columns are
+// never copied. Cache-decided nodes keep their full canonical width.
+func (c *Compiler) compileVecNode(p *relalg.Plan, stats *RunStats, need colSet) (VecIterator, []relalg.ColID, error) {
 	if d := c.takeDecision(p); d != nil {
 		return c.applyCacheDecision(d, p, stats)
 	}
@@ -283,18 +399,17 @@ func (c *Compiler) compileVecNode(p *relalg.Plan, stats *RunStats) (VecIterator,
 		if err != nil {
 			return nil, nil, err
 		}
-		arity, err := c.tableArity(p.Rel)
+		sortCol := -1
+		if p.Prop.Kind == relalg.PropSorted {
+			sortCol = p.Prop.Col.Off
+		} else if p.Phy == relalg.PhyIndexScan {
+			sortCol = p.IdxCol.Off
+		}
+		view, cols, out, conds, err := c.scanView(p.Rel, data, need, sortCol)
 		if err != nil {
 			return nil, nil, err
 		}
-		schema := make([]relalg.ColID, arity)
-		for i := range schema {
-			schema[i] = relalg.ColID{Rel: p.Rel, Off: i}
-		}
-		conds, err := c.scanConds(p.Rel, schema)
-		if err != nil {
-			return nil, nil, err
-		}
+		schema := cols[:out:out]
 		var v VecIterator
 		if p.Phy == relalg.PhySegScan && c.Data == nil {
 			// Segment-pruned access path: scan through the storage
@@ -305,18 +420,12 @@ func (c *Compiler) compileVecNode(p *relalg.Plan, stats *RunStats) (VecIterator,
 			if err != nil {
 				return nil, nil, err
 			}
-			v = newStorageScan(t.Store(), storagePreds(conds), ScanFilter{Conds: conds})
+			v = newStorageScan(t.Store(), cols, out, ScanFilter{Conds: conds})
 		} else {
-			v = c.scanVec(data, ScanFilter{Conds: conds})
+			v = c.scanVec(view, out, ScanFilter{Conds: conds})
 		}
-		if p.Prop.Kind == relalg.PropSorted {
-			off, err := colOffset(schema, p.Prop.Col)
-			if err != nil {
-				return nil, nil, err
-			}
-			v = c.trackedSort(v, off)
-		} else if p.Phy == relalg.PhyIndexScan {
-			off, err := colOffset(schema, p.IdxCol)
+		if sortCol >= 0 {
+			off, err := colOffset(schema, relalg.ColID{Rel: p.Rel, Off: sortCol})
 			if err != nil {
 				return nil, nil, err
 			}
@@ -325,7 +434,7 @@ func (c *Compiler) compileVecNode(p *relalg.Plan, stats *RunStats) (VecIterator,
 		return c.countedVec(v, p.Expr, stats), schema, nil
 
 	case relalg.LogEnforce:
-		child, schema, err := c.compileVec(p.Left, stats)
+		child, schema, err := c.compileVec(p.Left, stats, c.extend(need, p.Prop.Col))
 		if err != nil {
 			return nil, nil, err
 		}
@@ -338,12 +447,12 @@ func (c *Compiler) compileVecNode(p *relalg.Plan, stats *RunStats) (VecIterator,
 	case relalg.LogJoin:
 		jp := c.Q.Joins[p.Pred]
 		if p.Phy == relalg.PhyIndexNLJoin {
-			return c.compileVecIndexNL(p, jp, stats)
+			return c.compileVecIndexNL(p, jp, stats, need)
 		}
 		if p.Phy == relalg.PhyHashJoin {
 			// Fuse an interior hash-join chain (e.g. a build-side
 			// subtree) into a collect-mode parallel pipeline.
-			op, schema, ok, err := c.compilePipeline(p, stats, 1)
+			op, schema, ok, err := c.compilePipeline(p, stats, need, 1)
 			if err != nil {
 				return nil, nil, err
 			}
@@ -351,15 +460,16 @@ func (c *Compiler) compileVecNode(p *relalg.Plan, stats *RunStats) (VecIterator,
 				return op, schema, nil
 			}
 		}
-		left, ls, err := c.compileVec(p.Left, stats)
+		in := c.inputNeed(p, need)
+		left, ls, err := c.compileVec(p.Left, stats, in)
 		if err != nil {
 			return nil, nil, err
 		}
-		right, rs, err := c.compileVec(p.Right, stats)
+		right, rs, err := c.compileVec(p.Right, stats, in)
 		if err != nil {
 			return nil, nil, err
 		}
-		schema := append(append([]relalg.ColID(nil), ls...), rs...)
+		outB, outP, schema := joinOutput(ls, rs, need)
 		lk, rk, err := c.joinOffsets(p, jp, ls, rs)
 		if err != nil {
 			return nil, nil, err
@@ -371,23 +481,23 @@ func (c *Compiler) compileVecNode(p *relalg.Plan, stats *RunStats) (VecIterator,
 			if err != nil {
 				return nil, nil, err
 			}
-			residual, err := c.colFilterPredsOnly(p, schema)
+			residual, err := c.colFilterPredsOnly(p, ls, rs)
 			if err != nil {
 				return nil, nil, err
 			}
-			v = NewVecHashJoin(left, right, lKeys, rKeys, residual, c.Parallelism)
-			if hj, ok := v.(*vecHashJoinOp); ok {
-				hj.mem = c.Mem.Child("hashjoin")
-			}
+			hj := NewVecHashJoin(left, right, lKeys, rKeys, residual, c.Parallelism).(*vecHashJoinOp)
+			hj.mem = c.Mem.Child("hashjoin")
+			hj.emit.outB, hj.emit.outP = outB, outP
+			v = hj
 		case relalg.PhyMergeJoin:
-			residual, err := c.colResidualPreds(p, schema)
+			residual, err := c.colResidualPreds(p, ls, rs)
 			if err != nil {
 				return nil, nil, err
 			}
-			v = NewVecMergeJoin(left, right, lk, rk, residual)
-			if mj, ok := v.(*vecMergeJoinOp); ok {
-				mj.mem = c.Mem.Child("mergejoin")
-			}
+			mj := NewVecMergeJoin(left, right, lk, rk, residual).(*vecMergeJoinOp)
+			mj.mem = c.Mem.Child("mergejoin")
+			mj.emit.outB, mj.emit.outP = outB, outP
+			v = mj
 		default:
 			return nil, nil, fmt.Errorf("exec: unexpected join operator %v", p.Phy)
 		}
@@ -396,7 +506,45 @@ func (c *Compiler) compileVecNode(p *relalg.Plan, stats *RunStats) (VecIterator,
 	return nil, nil, fmt.Errorf("exec: unknown logical operator %v", p.Log)
 }
 
-func (c *Compiler) compileVecIndexNL(p *relalg.Plan, jp relalg.JoinPred, stats *RunStats) (VecIterator, []relalg.ColID, error) {
+// scanView narrows a relation's columns to what its scan must read. cols
+// names the view's columns: first the out emitted ones — those need holds,
+// plus sortCol when >= 0 — in table order, then the columns only the
+// pushed-down conditions read. view is the matching zero-copy selection of
+// column headers, and conds are the conditions remapped onto it.
+func (c *Compiler) scanView(rel int, data colData, need colSet, sortCol int) (view colData, cols []relalg.ColID, out int, conds []ScanCond, err error) {
+	arity, err := c.tableArity(rel)
+	if err != nil {
+		return colData{}, nil, 0, nil, err
+	}
+	cols = make([]relalg.ColID, 0, arity)
+	for off := 0; off < arity; off++ {
+		if col := (relalg.ColID{Rel: rel, Off: off}); off == sortCol || need.has(col) {
+			cols = append(cols, col)
+		}
+	}
+	out = len(cols)
+	for _, pr := range c.Q.Scans {
+		if pr.Col.Rel != rel {
+			continue
+		}
+		pos := slices.Index(cols, pr.Col)
+		if pos < 0 {
+			pos = len(cols)
+			cols = append(cols, pr.Col)
+		}
+		conds = append(conds, ScanCond{Off: pos, Op: pr.Op, Val: pr.Val})
+	}
+	view = data
+	if out < arity {
+		view = colData{cols: make([][]int64, len(cols)), n: data.n}
+		for i, col := range cols {
+			view.cols[i] = data.cols[col.Off]
+		}
+	}
+	return view, cols, out, conds, nil
+}
+
+func (c *Compiler) compileVecIndexNL(p *relalg.Plan, jp relalg.JoinPred, stats *RunStats, need colSet) (VecIterator, []relalg.ColID, error) {
 	inner := p.Left.Expr.SingleMember()
 	innerArity, err := c.tableArity(inner)
 	if err != nil {
@@ -419,7 +567,7 @@ func (c *Compiler) compileVecIndexNL(p *relalg.Plan, jp relalg.JoinPred, stats *
 		return nil, nil, err
 	}
 
-	outer, os, err := c.compileVec(p.Right, stats)
+	outer, os, err := c.compileVec(p.Right, stats, c.inputNeed(p, need))
 	if err != nil {
 		return nil, nil, err
 	}
@@ -427,13 +575,14 @@ func (c *Compiler) compileVecIndexNL(p *relalg.Plan, jp relalg.JoinPred, stats *
 	if err != nil {
 		return nil, nil, err
 	}
-	schema := append(append([]relalg.ColID(nil), innerSchema...), os...)
-	residual, err := c.colResidualPreds(p, schema)
+	outB, outP, schema := joinOutput(innerSchema, os, need)
+	residual, err := c.colResidualPreds(p, innerSchema, os)
 	if err != nil {
 		return nil, nil, err
 	}
-	v := NewVecIndexNLJoin(outer, innerData, index, innerConds, ok, residual)
-	return c.countedVec(v, p.Expr, stats), schema, nil
+	j := NewVecIndexNLJoin(outer, innerData, index, innerConds, ok, residual).(*vecIndexNLOp)
+	j.emit.outB, j.emit.outP = outB, outP
+	return c.countedVec(j, p.Expr, stats), schema, nil
 }
 
 // compilePipeline tries to fuse the subtree rooted at p into one
@@ -447,7 +596,7 @@ func (c *Compiler) compileVecIndexNL(p *relalg.Plan, jp relalg.JoinPred, stats *
 // countedVec. Returns ok=false when the shape doesn't match or the scan is
 // too small to pay for workers; the caller falls back to the exchange-based
 // operators.
-func (c *Compiler) compilePipeline(p *relalg.Plan, stats *RunStats, minStages int) (*parallelPipelineOp, []relalg.ColID, bool, error) {
+func (c *Compiler) compilePipeline(p *relalg.Plan, stats *RunStats, need colSet, minStages int) (*parallelPipelineOp, []relalg.ColID, bool, error) {
 	if c.Parallelism <= 1 {
 		return nil, nil, false, nil
 	}
@@ -457,10 +606,14 @@ func (c *Compiler) compilePipeline(p *relalg.Plan, stats *RunStats, minStages in
 		// the plain operator tree, where compileVec honors the decision.
 		return nil, nil, false, nil
 	}
+	// needs[i] is what spine[i] emits; needs[i+1], what its inputs (the
+	// build side and the next node down the spine, or the leaf scan) read.
 	var spine []*relalg.Plan
+	needs := []colSet{need}
 	cur := p
 	for cur.Log == relalg.LogJoin && cur.Phy == relalg.PhyHashJoin {
 		spine = append(spine, cur)
+		needs = append(needs, c.inputNeed(cur, needs[len(needs)-1]))
 		cur = cur.Right
 	}
 	if len(spine) < minStages {
@@ -477,18 +630,11 @@ func (c *Compiler) compilePipeline(p *relalg.Plan, stats *RunStats, minStages in
 	if data.n < minParallelRows {
 		return nil, nil, false, nil
 	}
-	arity, err := c.tableArity(cur.Rel)
+	view, cols, out, conds, err := c.scanView(cur.Rel, data, needs[len(spine)], -1)
 	if err != nil {
 		return nil, nil, false, err
 	}
-	schema := make([]relalg.ColID, arity)
-	for i := range schema {
-		schema[i] = relalg.ColID{Rel: cur.Rel, Off: i}
-	}
-	conds, err := c.scanConds(cur.Rel, schema)
-	if err != nil {
-		return nil, nil, false, err
-	}
+	schema := cols[:out:out]
 	scanCard := stats.counter(cur.Expr)
 
 	// Under a memory budget, fusion is admission-gated: the fused pipeline
@@ -519,14 +665,14 @@ func (c *Compiler) compilePipeline(p *relalg.Plan, stats *RunStats, minStages in
 	}
 
 	// Stages assemble bottom-up: the innermost join of the spine is probed
-	// first, and each stage's output schema (build ++ probe) is the next
-	// stage's probe schema — exactly the schema the unfused operator tree
-	// would produce.
+	// first, and each stage's output schema (its emitted build ++ probe
+	// columns) is the next stage's probe schema — exactly the schema the
+	// unfused operator tree would produce.
 	stages := make([]*pipeStage, 0, len(spine))
 	for i := len(spine) - 1; i >= 0; i-- {
 		pj := spine[i]
 		jp := c.Q.Joins[pj.Pred]
-		build, ls, err := c.compileVec(pj.Left, stats)
+		build, ls, err := c.compileVec(pj.Left, stats, needs[i+1])
 		if err != nil {
 			return nil, nil, false, err
 		}
@@ -538,15 +684,16 @@ func (c *Compiler) compilePipeline(p *relalg.Plan, stats *RunStats, minStages in
 		if err != nil {
 			return nil, nil, false, err
 		}
-		schema = append(append([]relalg.ColID(nil), ls...), schema...)
-		residual, err := c.colFilterPredsOnly(pj, schema)
+		residual, err := c.colFilterPredsOnly(pj, ls, schema)
 		if err != nil {
 			return nil, nil, false, err
 		}
-		stages = append(stages, &pipeStage{build: build, buildKeys: lKeys,
-			probeKeys: rKeys, residual: residual, card: stats.counter(pj.Expr)})
+		st := &pipeStage{build: build, buildKeys: lKeys, probeKeys: rKeys,
+			residual: residual, card: stats.counter(pj.Expr)}
+		st.outB, st.outP, schema = joinOutput(ls, schema, needs[i])
+		stages = append(stages, st)
 	}
-	op := newParallelPipeline(data, ScanFilter{Conds: conds}, scanCard, stages, c.Parallelism)
+	op := newParallelPipeline(view, ScanFilter{Conds: conds}, scanCard, stages, c.Parallelism)
 	op.mem = c.Mem.Child("pipeline")
 	if c.Prof != nil {
 		// Register self-time spans for every fused node: stages[j] probes
@@ -562,14 +709,17 @@ func (c *Compiler) compilePipeline(p *relalg.Plan, stats *RunStats, minStages in
 	return op, schema, true, nil
 }
 
-// scanVec picks the leaf scan implementation: morsel-driven parallel when
-// the Parallelism option allows it and the table is large enough to pay for
-// worker startup, serial otherwise.
-func (c *Compiler) scanVec(data colData, filter ScanFilter) VecIterator {
-	if c.Parallelism > 1 && data.n >= minParallelRows {
-		return NewParallelScan(data.cols, data.n, filter, c.Parallelism)
+// scanVec picks the leaf scan implementation over a scan view emitting its
+// first out columns: morsel-driven parallel when the Parallelism option
+// allows it and the table is large enough to pay for worker startup, serial
+// otherwise.
+func (c *Compiler) scanVec(view colData, out int, filter ScanFilter) VecIterator {
+	if c.Parallelism > 1 && view.n >= minParallelRows {
+		s := NewParallelScan(view.cols, view.n, filter, c.Parallelism).(*parallelScanOp)
+		s.out = out
+		return s
 	}
-	return NewVecScan(data.cols, data.n, filter)
+	return &vecScanOp{data: view, filter: filter, out: out}
 }
 
 func (c *Compiler) countedVec(v VecIterator, set relalg.RelSet, stats *RunStats) VecIterator {
@@ -645,21 +795,21 @@ func (c *Compiler) scanConds(rel int, schema []relalg.ColID) ([]ScanCond, error)
 
 // colFilterPredsOnly compiles just the non-equi residual filters crossing
 // this join (used when all equi predicates are part of the hash key) to
-// structured ColPreds — the joins evaluate these directly on (build, probe)
-// index pairs without materializing a row.
-func (c *Compiler) colFilterPredsOnly(p *relalg.Plan, schema []relalg.ColID) ([]ColPred, error) {
+// structured ColPreds over the join's concatenated (ls ++ rs) input — the
+// joins evaluate these directly on (build, probe) index pairs without
+// materializing a row.
+func (c *Compiler) colFilterPredsOnly(p *relalg.Plan, ls, rs []relalg.ColID) ([]ColPred, error) {
 	var preds []ColPred
 	lset, rset := p.Left.Expr, p.Right.Expr
 	for _, f := range c.Q.Filters {
-		crosses := (lset.Has(f.L.Rel) && rset.Has(f.R.Rel)) || (rset.Has(f.L.Rel) && lset.Has(f.R.Rel))
-		if !crosses {
+		if !(relalg.JoinPred{L: f.L, R: f.R}).Crosses(lset, rset) {
 			continue
 		}
-		lo, err := colOffset(schema, f.L)
+		lo, err := inputOffset(ls, rs, f.L)
 		if err != nil {
 			return nil, err
 		}
-		ro, err := colOffset(schema, f.R)
+		ro, err := inputOffset(ls, rs, f.R)
 		if err != nil {
 			return nil, err
 		}
@@ -670,42 +820,38 @@ func (c *Compiler) colFilterPredsOnly(p *relalg.Plan, schema []relalg.ColID) ([]
 
 // colResidualPreds compiles the join predicates and residual filters that
 // first become checkable at this join (both sides present, not the primary
-// equi-key) to structured ColPreds: the secondary equi-join predicates
-// become {CmpEQ, 0} entries, the cross-relation filters keep their operator
-// and constant offset.
-func (c *Compiler) colResidualPreds(p *relalg.Plan, schema []relalg.ColID) ([]ColPred, error) {
+// equi-key) to structured ColPreds over the join's concatenated (ls ++ rs)
+// input: the secondary equi-join predicates become {CmpEQ, 0} entries, the
+// cross-relation filters keep their operator and constant offset.
+func (c *Compiler) colResidualPreds(p *relalg.Plan, ls, rs []relalg.ColID) ([]ColPred, error) {
 	var preds []ColPred
 	lset, rset := p.Left.Expr, p.Right.Expr
 	for pi, jp := range c.Q.Joins {
 		if pi == p.Pred || !jp.Crosses(lset, rset) {
 			continue
 		}
-		lo, err := colOffset(schema, jp.L)
+		lo, err := inputOffset(ls, rs, jp.L)
 		if err != nil {
 			return nil, err
 		}
-		ro, err := colOffset(schema, jp.R)
+		ro, err := inputOffset(ls, rs, jp.R)
 		if err != nil {
 			return nil, err
 		}
 		preds = append(preds, ColPred{L: lo, R: ro, Op: relalg.CmpEQ})
 	}
-	for _, f := range c.Q.Filters {
-		crosses := (lset.Has(f.L.Rel) && rset.Has(f.R.Rel)) || (rset.Has(f.L.Rel) && lset.Has(f.R.Rel))
-		if !crosses {
-			continue
-		}
-		lo, err := colOffset(schema, f.L)
-		if err != nil {
-			return nil, err
-		}
-		ro, err := colOffset(schema, f.R)
-		if err != nil {
-			return nil, err
-		}
-		preds = append(preds, ColPred{L: lo, R: ro, Op: f.Op, Off: f.Off})
+	filters, err := c.colFilterPredsOnly(p, ls, rs)
+	return append(preds, filters...), err
+}
+
+// inputOffset resolves a column against a join's concatenated input
+// schema ls ++ rs.
+func inputOffset(ls, rs []relalg.ColID, c relalg.ColID) (int, error) {
+	if i := slices.Index(ls, c); i >= 0 {
+		return i, nil
 	}
-	return preds, nil
+	off, err := colOffset(rs, c)
+	return len(ls) + off, err
 }
 
 func colOffset(schema []relalg.ColID, c relalg.ColID) (int, error) {

@@ -12,16 +12,22 @@
 // zero-copy column windows over column-major base-table storage
 // (catalog.Table.ColumnSnapshot), so a filtering scan reads only the columns
 // its conditions touch; the hot kernels — per-operator predicate selection,
-// vectorized multiplicative hashing, join result stitching via Gather,
-// flat-table aggregation — are tight loops over contiguous slices
-// dispatched once per batch (kernels.go, exprkernels.go, vecjoin.go,
-// agg.go). Batch column slices are recycled, so consumers copy values out
-// before the producer's next call; DrainVec and the operator-internal
-// materializing drains do exactly one such copy per row. Under the
-// compiler's Parallelism option, parallelism is morsel-driven and extends
-// across whole pipelines (pipeline.go): right-spine hash-join chains over a
-// large leaf scan fuse into a parallelPipelineOp whose workers each run the
-// full scan → probe cascade → partial-aggregate chain privately — join
+// vectorized multiplicative hashing, residual filtering of join pairs one
+// predicate at a time, join result stitching via Gather, flat-table
+// aggregation with one flat COUNT(DISTINCT) set — are tight loops over
+// contiguous slices dispatched once per batch (kernels.go, exprkernels.go,
+// vecjoin.go, agg.go). The compiler passes every plan node the set of
+// columns its ancestors read (the aggregate's inputs, the keys and residual
+// columns of every join above, enforcer sort columns), and scans and joins
+// emit only those, so build-side drains, sorts and Gathers move no column
+// nobody reads; a non-aggregate root and result-cache subtrees keep their
+// full width (compile.go). Batch column slices are recycled, so consumers
+// copy values out before the producer's next call; DrainVec and the
+// operator-internal materializing drains do exactly one such copy per row.
+// Under the compiler's Parallelism option, parallelism is morsel-driven and
+// extends across whole pipelines (pipeline.go): right-spine hash-join chains
+// over a large leaf scan fuse into a parallelPipelineOp whose workers each
+// run the full scan → probe cascade → partial-aggregate chain privately — join
 // tables are built once with a partitioned parallel insert and shared
 // read-only, aggregation state is worker-local in a flat open-addressing
 // aggTable (agg.go, no per-row key allocation), and partial aggregates and

@@ -59,7 +59,7 @@ AND p.p_partkey = 77 AND ps.ps_availqty > 5000`, cat, sqlmini.Options{Dict: tpch
 // compiledIndexNL compiles just the index-NL node and returns its operator.
 func compiledIndexNL(t *testing.T, comp *Compiler, node *relalg.Plan) *vecIndexNLOp {
 	t.Helper()
-	v, _, err := comp.compileVec(node, &RunStats{Cards: map[relalg.RelSet]*int64{}})
+	v, _, err := comp.compileVec(node, &RunStats{Cards: map[relalg.RelSet]*int64{}}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

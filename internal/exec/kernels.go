@@ -155,17 +155,6 @@ type ColPred struct {
 	Off  int64
 }
 
-// evalColPredsRow evaluates the predicates against a materialized row —
-// the row-shim and test helper; hot paths use filterPairs.
-func evalColPredsRow(preds []ColPred, r Row) bool {
-	for _, p := range preds {
-		if !p.Op.Eval(r[p.L], r[p.R]+p.Off) {
-			return false
-		}
-	}
-	return true
-}
-
 // ---- vectorized hashing ----
 
 const (

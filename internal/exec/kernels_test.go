@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -296,5 +297,136 @@ func BenchmarkGather(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		Gather(dst, src, idx)
+	}
+}
+
+// refCmp is the test's own comparison, independent of relalg.CmpOp.Eval.
+func refCmp(op relalg.CmpOp, a, b int64) bool {
+	switch op {
+	case relalg.CmpEQ:
+		return a == b
+	case relalg.CmpNE:
+		return a != b
+	case relalg.CmpLT:
+		return a < b
+	case relalg.CmpLE:
+		return a <= b
+	case relalg.CmpGT:
+		return a > b
+	case relalg.CmpGE:
+		return a >= b
+	}
+	panic("unknown operator")
+}
+
+// TestFilterPairsMatchesReference holds the columnar residual kernels
+// against a per-pair reference that stitches each (build, probe) row and
+// checks every predicate on it: every operator, zero and nonzero offsets,
+// operands on the build side, the probe side, or both on one side, several
+// predicates at once, and empty, all-pass and all-fail inputs. Survivors
+// must keep their input order.
+func TestFilterPairsMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	const bw, pw, nb, np = 3, 2, 60, 45
+	randCols := func(w, n int) [][]int64 {
+		cols := make([][]int64, w)
+		for c := range cols {
+			cols[c] = make([]int64, n)
+			for i := range cols[c] {
+				cols[c][i] = int64(rng.Intn(7))
+			}
+		}
+		return cols
+	}
+	build, probe := randCols(bw, nb), randCols(pw, np)
+	pairs := func(n int) ([]int32, []int32) {
+		pb, pp := make([]int32, n), make([]int32, n)
+		for j := range pb {
+			pb[j], pp[j] = int32(rng.Intn(nb)), int32(rng.Intn(np))
+		}
+		return pb, pp
+	}
+	value := func(off int, b, p int32) int64 {
+		if off < bw {
+			return build[off][b]
+		}
+		return probe[off-bw][p]
+	}
+	check := func(label string, preds []ColPred, conds []ScanCond, pb, pp []int32) int {
+		t.Helper()
+		var wantB, wantP []int32
+	pairs:
+		for j := range pb {
+			for _, c := range conds {
+				if !refCmp(c.Op, build[c.Off][pb[j]], c.Val) {
+					continue pairs
+				}
+			}
+			for _, p := range preds {
+				if !refCmp(p.Op, value(p.L, pb[j], pp[j]), value(p.R, pb[j], pp[j])+p.Off) {
+					continue pairs
+				}
+			}
+			wantB, wantP = append(wantB, pb[j]), append(wantP, pp[j])
+		}
+		gotB, gotP := filterPairsConds(conds, build, pb, pp)
+		gotB, gotP = filterPairs(preds, build, probe, gotB, gotP)
+		if len(gotB) != len(wantB) || len(gotP) != len(wantB) {
+			t.Fatalf("%s: %d survivors, reference %d", label, len(gotB), len(wantB))
+		}
+		for j := range wantB {
+			if gotB[j] != wantB[j] || gotP[j] != wantP[j] {
+				t.Fatalf("%s: survivor %d = (%d,%d), reference (%d,%d)",
+					label, j, gotB[j], gotP[j], wantB[j], wantP[j])
+			}
+		}
+		return len(wantB)
+	}
+	ops := []relalg.CmpOp{relalg.CmpEQ, relalg.CmpNE, relalg.CmpLT, relalg.CmpLE, relalg.CmpGT, relalg.CmpGE}
+	// Operand placements: build/build, build/probe, probe/build,
+	// probe/probe.
+	places := [][2]int{{0, 2}, {1, bw}, {bw + 1, 2}, {bw, bw + 1}}
+	for _, op := range ops {
+		for _, pl := range places {
+			for _, off := range []int64{0, 2, -3} {
+				pb, pp := pairs(300)
+				check(fmt.Sprintf("%v L=%d R=%d off=%d", op, pl[0], pl[1], off),
+					[]ColPred{{L: pl[0], R: pl[1], Op: op, Off: off}}, nil, pb, pp)
+			}
+		}
+		for _, val := range []int64{0, 3} {
+			pb, pp := pairs(300)
+			check(fmt.Sprintf("cond %v %d", op, val), nil,
+				[]ScanCond{{Off: 1, Op: op, Val: val}}, pb, pp)
+		}
+	}
+	for i := 0; i < 50; i++ {
+		var preds []ColPred
+		for k := rng.Intn(4); k >= 0; k-- {
+			preds = append(preds, ColPred{L: rng.Intn(bw + pw), R: rng.Intn(bw + pw),
+				Op: ops[rng.Intn(len(ops))], Off: int64(rng.Intn(5) - 2)})
+		}
+		var conds []ScanCond
+		for k := rng.Intn(3); k > 0; k-- {
+			conds = append(conds, ScanCond{Off: rng.Intn(bw), Op: ops[rng.Intn(len(ops))], Val: int64(rng.Intn(7))})
+		}
+		pb, pp := pairs(rng.Intn(400))
+		check(fmt.Sprintf("random %d", i), preds, conds, pb, pp)
+	}
+	pb, pp := pairs(0)
+	check("empty", []ColPred{{L: 0, R: bw, Op: relalg.CmpLT}},
+		[]ScanCond{{Off: 0, Op: relalg.CmpEQ, Val: 1}}, pb, pp)
+	pb, pp = pairs(200)
+	if n := check("all pass", []ColPred{{L: 0, R: 0, Op: relalg.CmpLE}, {L: bw, R: bw, Op: relalg.CmpGT, Off: -1}},
+		[]ScanCond{{Off: 2, Op: relalg.CmpGE, Val: 0}}, pb, pp); n != 200 {
+		t.Fatalf("all-pass input kept %d of 200 pairs", n)
+	}
+	pb, pp = pairs(200)
+	if n := check("all fail", []ColPred{{L: 1, R: bw + 1, Op: relalg.CmpLT, Off: -10}}, nil, pb, pp); n != 0 {
+		t.Fatalf("all-fail input kept %d pairs", n)
+	}
+	pb, pp = pairs(200)
+	if n := check("all fail cond", nil, []ScanCond{{Off: 0, Op: relalg.CmpGT, Val: 6}}, pb, pp); n != 0 {
+		t.Fatalf("all-fail conditions kept %d pairs", n)
 	}
 }

@@ -17,6 +17,7 @@ const minParallelRows = 4 * morselSize
 type parallelScanOp struct {
 	data    colData
 	filter  ScanFilter
+	out     int // leading data columns emitted; the rest only feed the filter
 	workers int
 
 	cursor atomic.Int64
@@ -47,7 +48,7 @@ func NewParallelScan(cols [][]int64, n int, filter ScanFilter, workers int) VecI
 	if max := (n + morselSize - 1) / morselSize; workers > max {
 		workers = max
 	}
-	return &parallelScanOp{data: colData{cols: cols, n: n}, filter: filter, workers: workers}
+	return &parallelScanOp{data: colData{cols: cols, n: n}, filter: filter, out: len(cols), workers: workers}
 }
 
 func (s *parallelScanOp) Open() error {
@@ -123,6 +124,7 @@ func (s *parallelScanOp) worker() {
 			b.Sel = sel
 			sel = nil // ownership moves to the batch until recycled
 		}
+		b.Cols = b.Cols[:s.out]
 		select {
 		case s.ch <- b:
 		case <-s.quit:
@@ -183,7 +185,7 @@ func (s *parallelScanOp) drainCols() (colData, error) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			out := colData{cols: make([][]int64, s.data.width())}
+			out := colData{cols: make([][]int64, s.out)}
 			sel := make([]int, 0, morselSize)
 			var window [][]int64
 			for {

@@ -31,6 +31,10 @@ type pipeStage struct {
 	probeKeys []int
 	residual  []ColPred
 	card      *int64
+	// outB and outP list the build and probe columns the stage emits, in
+	// output order (only what later stages and the terminal read); nil
+	// means every column of that side.
+	outB, outP []int
 
 	table *joinTable
 }
@@ -132,7 +136,13 @@ func (p *parallelPipelineOp) Open() error {
 		}
 		p.mem.Force(colBytes(data.width(), data.n) + joinTableBytes(data.n))
 		st.table = newJoinTable(data, st.buildKeys, p.workers)
-		width += data.width()
+		if st.outB == nil {
+			st.outB = seq(data.width())
+		}
+		if st.outP == nil {
+			st.outP = seq(width)
+		}
+		width = len(st.outB) + len(st.outP)
 		stageWidths[i] = width
 	}
 
@@ -411,20 +421,14 @@ func (w *pipeWorker) walkChain(depth int, st *pipeStage, t *joinTable, cols [][]
 }
 
 // flushStage residual-filters the pending pairs of depth, stitches the
-// survivors into the stage's scratch chunk, and recurses.
+// survivors' emitted columns into the stage's scratch chunk, and recurses.
 func (w *pipeWorker) flushStage(depth int, cols [][]int64) {
 	st := w.op.stages[depth]
 	sc := &w.stages[depth]
-	pb, pp := filterPairs(st.residual, &st.table.data, cols, sc.pairsB, sc.pairsP)
+	pb, pp := filterPairs(st.residual, st.table.data.cols, cols, sc.pairsB, sc.pairsP)
 	if m := len(pb); m > 0 {
 		w.counts[depth+1] += int64(m)
-		bw := st.table.data.width()
-		for c := 0; c < bw; c++ {
-			Gather(sc.out[c][:m], st.table.data.cols[c], pb)
-		}
-		for c := range cols {
-			Gather(sc.out[bw+c][:m], cols[c], pp)
-		}
+		gatherPairs(sc.out, st.outB, st.outP, st.table.data.cols, cols, pb, pp)
 		w.probeStage(depth+1, sc.out, m, nil)
 	}
 	sc.pairsB, sc.pairsP = sc.pairsB[:0], sc.pairsP[:0]

@@ -121,35 +121,7 @@ func (pp *PlanProfile) format(q *relalg.Query, p *relalg.Plan, stats *RunStats, 
 		return
 	}
 	b.WriteString(strings.Repeat("  ", depth))
-	switch p.Log {
-	case relalg.LogScan:
-		name := "?"
-		if q != nil && p.Rel < len(q.Rels) {
-			name = q.Rels[p.Rel].Alias
-		}
-		if p.Phy == relalg.PhyIndexScan {
-			fmt.Fprintf(b, "IndexScan %s key=%s", name, q.ColString(p.IdxCol))
-		} else if p.Phy == relalg.PhySegScan {
-			fmt.Fprintf(b, "SegScan %s zone=%s", name, q.ColString(p.IdxCol))
-		} else {
-			fmt.Fprintf(b, "TableScan %s", name)
-		}
-	case relalg.LogEnforce:
-		fmt.Fprintf(b, "Sort %s", p.Prop)
-	default:
-		op := map[relalg.PhyOp]string{
-			relalg.PhyHashJoin:    "HashJoin",
-			relalg.PhyMergeJoin:   "MergeJoin",
-			relalg.PhyIndexNLJoin: "IndexNLJoin",
-		}[p.Phy]
-		pred := ""
-		if q != nil && p.Pred < len(q.Joins) {
-			jp := q.Joins[p.Pred]
-			pred = fmt.Sprintf(" on %s=%s", q.ColString(jp.L), q.ColString(jp.R))
-		}
-		fmt.Fprintf(b, "%s%s", op, pred)
-	}
-
+	b.WriteString(p.Label(q))
 	fmt.Fprintf(b, "  [est=%.1f", p.Card)
 	if act, ok := stats.Card(p.Expr); ok && p.Log != relalg.LogEnforce {
 		fmt.Fprintf(b, " act=%d qerr=%.2f", act, qError(p.Card, act))

@@ -326,7 +326,7 @@ func (c *Compiler) applyCacheDecision(d *cacheDecision, p *relalg.Plan, stats *R
 	// Compile the missed subtree via compileVecNode: the profiling shim for
 	// p (if any) is added by the compileVec wrapper around THIS call, so
 	// going through compileVec here would double-register p's span.
-	in, schema, err := c.compileVecNode(p, stats)
+	in, schema, err := c.compileVecNode(p, stats, nil)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -14,6 +14,8 @@ import (
 type storageScanOp struct {
 	store  storage.Backend
 	preds  []storage.Pred
+	cols   []relalg.ColID // scan view: table columns read, in view order
+	out    int            // leading view columns emitted
 	filter ScanFilter
 	it     *storage.SegIter
 	batch  Batch
@@ -21,10 +23,13 @@ type storageScanOp struct {
 	pruned int64
 }
 
-// newStorageScan builds the leaf. The pushed preds mirror filter.Conds so
-// pruning and filtering agree on the predicate set.
-func newStorageScan(store storage.Backend, preds []storage.Pred, filter ScanFilter) *storageScanOp {
-	return &storageScanOp{store: store, preds: preds, filter: filter}
+// newStorageScan builds the leaf over a scan view: cols names the table
+// columns read (filter.Conds index into them) and the first out are
+// emitted. The pushed preds mirror filter.Conds so pruning and filtering
+// agree on the predicate set.
+func newStorageScan(store storage.Backend, cols []relalg.ColID, out int, filter ScanFilter) *storageScanOp {
+	return &storageScanOp{store: store, preds: storagePreds(filter.Conds, cols),
+		cols: cols, out: out, filter: filter}
 }
 
 func (s *storageScanOp) Open() error {
@@ -41,21 +46,20 @@ func (s *storageScanOp) Next() (*Batch, error) {
 		if !ok {
 			return nil, nil
 		}
-		if cap(s.batch.Cols) < len(cols) {
-			s.batch.Cols = make([][]int64, len(cols))
+		s.batch.Cols = s.batch.Cols[:0]
+		for _, c := range s.cols {
+			s.batch.Cols = append(s.batch.Cols, cols[c.Off])
 		}
-		s.batch.Cols = s.batch.Cols[:len(cols)]
-		copy(s.batch.Cols, cols)
 		s.batch.N = n
-		if s.filter.Empty() {
-			s.batch.Sel = nil
-			return &s.batch, nil
+		s.batch.Sel = nil
+		if !s.filter.Empty() {
+			s.sel = s.filter.SelCols(s.batch.Cols, s.batch.N, s.sel)
+			if len(s.sel) == 0 {
+				continue
+			}
+			s.batch.Sel = s.sel
 		}
-		s.sel = s.filter.SelCols(s.batch.Cols, s.batch.N, s.sel)
-		if len(s.sel) == 0 {
-			continue
-		}
-		s.batch.Sel = s.sel
+		s.batch.Cols = s.batch.Cols[:s.out]
 		return &s.batch, nil
 	}
 }
@@ -68,10 +72,11 @@ func (s *storageScanOp) Close() error {
 	return nil
 }
 
-// storagePreds translates the compiled scan conditions into storage-layer
-// pushdown predicates. The operator mapping is explicit so a reordering of
-// either enum cannot silently flip comparison semantics.
-func storagePreds(conds []ScanCond) []storage.Pred {
+// storagePreds translates the compiled scan conditions, whose offsets index
+// the scan view cols, into storage-layer pushdown predicates on table
+// columns. The operator mapping is explicit so a reordering of either enum
+// cannot silently flip comparison semantics.
+func storagePreds(conds []ScanCond, cols []relalg.ColID) []storage.Pred {
 	if len(conds) == 0 {
 		return nil
 	}
@@ -94,7 +99,7 @@ func storagePreds(conds []ScanCond) []storage.Pred {
 		default:
 			continue // unknown operator: not pushed, still filtered
 		}
-		out = append(out, storage.Pred{Col: cn.Off, Op: op, Val: cn.Val})
+		out = append(out, storage.Pred{Col: cols[cn.Off].Off, Op: op, Val: cn.Val})
 	}
 	return out
 }

@@ -4,22 +4,36 @@ import (
 	"errors"
 	"fmt"
 
+	"repro/internal/relalg"
 	"repro/internal/storage"
 )
 
 // The row-producing join operators share one output scheme: matches are
 // collected as (build row, probe row) index pairs, residual predicates are
-// evaluated directly on the pairs (reading only the referenced columns),
-// and surviving pairs are stitched into the output batch with one Gather
-// per column. Output columns live in a single flat buffer owned by the
-// operator and recycled every batch.
+// evaluated directly on the pairs (one pass per predicate, reading only the
+// referenced columns), and surviving pairs are stitched into the output
+// batch with one Gather per emitted column. A join emits only the columns
+// its consumers read (the compiler's outB/outP lists), so unread columns
+// are never copied. Output columns live in a single flat buffer owned by
+// the operator and recycled every batch.
 
 // colEmitter is the reusable columnar output side of the join operators.
+// outB and outP list the build and probe input columns emitted, in output
+// order; nil means every column of that side.
 type colEmitter struct {
-	batch Batch
+	batch      Batch
+	outB, outP []int
 }
 
-func (e *colEmitter) init(width int) {
+// init sizes the output batch for inputs of bw build and pw probe columns.
+func (e *colEmitter) init(bw, pw int) {
+	if e.outB == nil {
+		e.outB = seq(bw)
+	}
+	if e.outP == nil {
+		e.outP = seq(pw)
+	}
+	width := len(e.outB) + len(e.outP)
 	flat := make([]int64, width*BatchSize)
 	e.batch.Cols = make([][]int64, width)
 	for c := range e.batch.Cols {
@@ -27,79 +41,175 @@ func (e *colEmitter) init(width int) {
 	}
 }
 
-// emit gathers the paired rows (build ++ probe) into the output batch.
-func (e *colEmitter) emit(build *colData, probeCols [][]int64, pb, pp []int32) *Batch {
-	m := len(pb)
-	bw := build.width()
-	for c := 0; c < bw; c++ {
-		Gather(e.batch.Cols[c][:m], build.cols[c], pb)
-	}
-	for c := bw; c < len(e.batch.Cols); c++ {
-		Gather(e.batch.Cols[c][:m], probeCols[c-bw], pp)
-	}
-	e.batch.N = m
+// emit gathers the emitted columns of the paired rows into the output
+// batch.
+func (e *colEmitter) emit(build, probe [][]int64, pb, pp []int32) *Batch {
+	gatherPairs(e.batch.Cols, e.outB, e.outP, build, probe, pb, pp)
+	e.batch.N = len(pb)
 	e.batch.Sel = nil
 	return &e.batch
 }
 
+// gatherPairs stitches the paired rows' emitted columns — build columns
+// outB, then probe columns outP — into out, one Gather per column.
+func gatherPairs(out [][]int64, outB, outP []int, build, probe [][]int64, pb, pp []int32) {
+	m := len(pb)
+	for k, c := range outB {
+		Gather(out[k][:m], build[c], pb)
+	}
+	nb := len(outB)
+	for k, c := range outP {
+		Gather(out[nb+k][:m], probe[c], pp)
+	}
+}
+
+// seq returns 0..n-1.
+func seq(n int) []int {
+	s := make([]int, n)
+	for i := range s {
+		s[i] = i
+	}
+	return s
+}
+
 // filterPairs compacts the pair vectors in place to the pairs whose
-// concatenated (build ++ probe) row satisfies every residual predicate,
-// reading only the referenced columns.
-func filterPairs(preds []ColPred, build *colData, probeCols [][]int64, pb, pp []int32) ([]int32, []int32) {
-	if len(preds) == 0 {
-		return pb, pp
+// concatenated (build ++ probe) input row satisfies every residual
+// predicate. It makes one pass per predicate: the predicate's two source
+// columns and the index vector addressing each (pb for a build column, pp
+// for a probe column) are resolved once, then an operator-specialized loop
+// compacts the survivors.
+func filterPairs(preds []ColPred, build, probe [][]int64, pb, pp []int32) ([]int32, []int32) {
+	bw := len(build)
+	for _, p := range preds {
+		if len(pb) == 0 {
+			break
+		}
+		lcol, li := build, pb
+		l := p.L
+		if l >= bw {
+			lcol, li, l = probe, pp, l-bw
+		}
+		rcol, ri := build, pb
+		r := p.R
+		if r >= bw {
+			rcol, ri, r = probe, pp, r-bw
+		}
+		k := filterPairsPred(p.Op, lcol[l], li, rcol[r], ri, p.Off, pb, pp)
+		pb, pp = pb[:k], pp[:k]
 	}
-	bw := build.width()
+	return pb, pp
+}
+
+// filterPairsPred keeps pair j when lc[li[j]] <op> rc[ri[j]]+off, where li
+// and ri each alias pb or pp, compacting pb and pp in place, and returns
+// the number of survivors. Pair j is read before any write at index <= j,
+// so the aliasing is safe.
+func filterPairsPred(op relalg.CmpOp, lc []int64, li []int32, rc []int64, ri []int32, off int64, pb, pp []int32) int {
 	k := 0
-	for j := range pb {
-		bi, pi := pb[j], pp[j]
-		ok := true
-		for _, p := range preds {
-			var lv, rv int64
-			if p.L < bw {
-				lv = build.cols[p.L][bi]
-			} else {
-				lv = probeCols[p.L-bw][pi]
-			}
-			if p.R < bw {
-				rv = build.cols[p.R][bi]
-			} else {
-				rv = probeCols[p.R-bw][pi]
-			}
-			if !p.Op.Eval(lv, rv+p.Off) {
-				ok = false
-				break
+	switch op {
+	case relalg.CmpEQ:
+		for j := range pb {
+			if b, p := pb[j], pp[j]; lc[li[j]] == rc[ri[j]]+off {
+				pb[k], pp[k] = b, p
+				k++
 			}
 		}
-		if ok {
-			pb[k], pp[k] = bi, pi
-			k++
+	case relalg.CmpNE:
+		for j := range pb {
+			if b, p := pb[j], pp[j]; lc[li[j]] != rc[ri[j]]+off {
+				pb[k], pp[k] = b, p
+				k++
+			}
+		}
+	case relalg.CmpLT:
+		for j := range pb {
+			if b, p := pb[j], pp[j]; lc[li[j]] < rc[ri[j]]+off {
+				pb[k], pp[k] = b, p
+				k++
+			}
+		}
+	case relalg.CmpLE:
+		for j := range pb {
+			if b, p := pb[j], pp[j]; lc[li[j]] <= rc[ri[j]]+off {
+				pb[k], pp[k] = b, p
+				k++
+			}
+		}
+	case relalg.CmpGT:
+		for j := range pb {
+			if b, p := pb[j], pp[j]; lc[li[j]] > rc[ri[j]]+off {
+				pb[k], pp[k] = b, p
+				k++
+			}
+		}
+	case relalg.CmpGE:
+		for j := range pb {
+			if b, p := pb[j], pp[j]; lc[li[j]] >= rc[ri[j]]+off {
+				pb[k], pp[k] = b, p
+				k++
+			}
 		}
 	}
-	return pb[:k], pp[:k]
+	return k
 }
 
 // filterPairsConds compacts the pair vectors in place to the pairs whose
-// build row satisfies every pushed-down scan condition.
-func filterPairsConds(conds []ScanCond, build *colData, pb, pp []int32) ([]int32, []int32) {
-	if len(conds) == 0 {
-		return pb, pp
-	}
-	k := 0
-	for j, bi := range pb {
-		ok := true
-		for _, c := range conds {
-			if !c.Op.Eval(build.cols[c.Off][bi], c.Val) {
-				ok = false
-				break
+// build row satisfies every pushed-down scan condition, one pass per
+// condition.
+func filterPairsConds(conds []ScanCond, build [][]int64, pb, pp []int32) ([]int32, []int32) {
+	for _, c := range conds {
+		if len(pb) == 0 {
+			break
+		}
+		col, v := build[c.Off], c.Val
+		k := 0
+		switch c.Op {
+		case relalg.CmpEQ:
+			for j, b := range pb {
+				if col[b] == v {
+					pb[k], pp[k] = b, pp[j]
+					k++
+				}
+			}
+		case relalg.CmpNE:
+			for j, b := range pb {
+				if col[b] != v {
+					pb[k], pp[k] = b, pp[j]
+					k++
+				}
+			}
+		case relalg.CmpLT:
+			for j, b := range pb {
+				if col[b] < v {
+					pb[k], pp[k] = b, pp[j]
+					k++
+				}
+			}
+		case relalg.CmpLE:
+			for j, b := range pb {
+				if col[b] <= v {
+					pb[k], pp[k] = b, pp[j]
+					k++
+				}
+			}
+		case relalg.CmpGT:
+			for j, b := range pb {
+				if col[b] > v {
+					pb[k], pp[k] = b, pp[j]
+					k++
+				}
+			}
+		case relalg.CmpGE:
+			for j, b := range pb {
+				if col[b] >= v {
+					pb[k], pp[k] = b, pp[j]
+					k++
+				}
 			}
 		}
-		if ok {
-			pb[k], pp[k] = bi, pp[j]
-			k++
-		}
+		pb, pp = pb[:k], pp[:k]
 	}
-	return pb[:k], pp[:k]
+	return pb, pp
 }
 
 // ---- vectorized hash join ----
@@ -219,15 +329,15 @@ func (j *vecHashJoinOp) nextProbeBatch() (*Batch, error) {
 // flushPairs residual-filters the pending pairs and stitches the survivors
 // into an output batch, or returns nil when every pair was filtered out.
 func (j *vecHashJoinOp) flushPairs() *Batch {
-	pb, pp := filterPairs(j.residual, &j.table.data, j.pb.Cols, j.pairsB, j.pairsP)
+	pb, pp := filterPairs(j.residual, j.table.data.cols, j.pb.Cols, j.pairsB, j.pairsP)
 	j.pairsB, j.pairsP = j.pairsB[:0], j.pairsP[:0]
 	if len(pb) == 0 {
 		return nil
 	}
 	if j.emit.batch.Cols == nil {
-		j.emit.init(j.table.data.width() + j.pb.Width())
+		j.emit.init(j.table.data.width(), j.pb.Width())
 	}
-	return j.emit.emit(&j.table.data, j.pb.Cols, pb, pp)
+	return j.emit.emit(j.table.data.cols, j.pb.Cols, pb, pp)
 }
 
 func (j *vecHashJoinOp) Next() (*Batch, error) {
@@ -357,15 +467,15 @@ func (m *vecMergeJoinOp) Open() error {
 }
 
 func (m *vecMergeJoinOp) flushPairs() *Batch {
-	pb, pp := filterPairs(m.residual, &m.lData, m.rData.cols, m.pairsB, m.pairsP)
+	pb, pp := filterPairs(m.residual, m.lData.cols, m.rData.cols, m.pairsB, m.pairsP)
 	m.pairsB, m.pairsP = m.pairsB[:0], m.pairsP[:0]
 	if len(pb) == 0 {
 		return nil
 	}
 	if m.emit.batch.Cols == nil {
-		m.emit.init(m.lData.width() + m.rData.width())
+		m.emit.init(m.lData.width(), m.rData.width())
 	}
-	return m.emit.emit(&m.lData, m.rData.cols, pb, pp)
+	return m.emit.emit(m.lData.cols, m.rData.cols, pb, pp)
 }
 
 func (m *vecMergeJoinOp) Next() (*Batch, error) {
@@ -458,16 +568,16 @@ func (j *vecIndexNLOp) Open() error {
 }
 
 func (j *vecIndexNLOp) flushPairs() *Batch {
-	pb, pp := filterPairsConds(j.conds, &j.inner, j.pairsB, j.pairsP)
-	pb, pp = filterPairs(j.residual, &j.inner, j.ob.Cols, pb, pp)
+	pb, pp := filterPairsConds(j.conds, j.inner.cols, j.pairsB, j.pairsP)
+	pb, pp = filterPairs(j.residual, j.inner.cols, j.ob.Cols, pb, pp)
 	j.pairsB, j.pairsP = j.pairsB[:0], j.pairsP[:0]
 	if len(pb) == 0 {
 		return nil
 	}
 	if j.emit.batch.Cols == nil {
-		j.emit.init(j.inner.width() + j.ob.Width())
+		j.emit.init(j.inner.width(), j.ob.Width())
 	}
-	return j.emit.emit(&j.inner, j.ob.Cols, pb, pp)
+	return j.emit.emit(j.inner.cols, j.ob.Cols, pb, pp)
 }
 
 func (j *vecIndexNLOp) Next() (*Batch, error) {

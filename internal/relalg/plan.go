@@ -93,35 +93,83 @@ func (p *Plan) explain(q *Query, b *strings.Builder, depth int) {
 		return
 	}
 	b.WriteString(strings.Repeat("  ", depth))
+	b.WriteString(p.Label(q))
+	fmt.Fprintf(b, "  [card=%.1f local=%.3f cost=%.3f]\n", p.Card, p.LocalCost, p.Cost)
+	p.Left.explain(q, b, depth+1)
+	p.Right.explain(q, b, depth+1)
+}
+
+// Label renders one plan node as EXPLAIN shows it. A join lists every
+// equi-predicate it keys on after "on" (a hash join keys on all equi-joins
+// crossing its inputs, primary first; merge and index nested-loops joins on
+// the primary alone) and the predicates it checks on matched pairs after
+// "filter": the remaining crossing equi-joins and every crossing
+// cross-relation filter.
+func (p *Plan) Label(q *Query) string {
+	col := func(c ColID) string {
+		if q == nil {
+			return fmt.Sprintf("r%d.c%d", c.Rel, c.Off)
+		}
+		return q.ColString(c)
+	}
 	switch p.Log {
 	case LogScan:
 		name := "?"
 		if q != nil && p.Rel < len(q.Rels) {
 			name = q.Rels[p.Rel].Alias
 		}
-		if p.Phy == PhyIndexScan {
-			fmt.Fprintf(b, "IndexScan %s key=%s", name, q.ColString(p.IdxCol))
-		} else if p.Phy == PhySegScan {
-			fmt.Fprintf(b, "SegScan %s zone=%s", name, q.ColString(p.IdxCol))
-		} else {
-			fmt.Fprintf(b, "TableScan %s", name)
+		switch p.Phy {
+		case PhyIndexScan:
+			return fmt.Sprintf("IndexScan %s key=%s", name, col(p.IdxCol))
+		case PhySegScan:
+			return fmt.Sprintf("SegScan %s zone=%s", name, col(p.IdxCol))
 		}
+		return "TableScan " + name
 	case LogEnforce:
-		fmt.Fprintf(b, "Sort %s", p.Prop)
-	default:
-		op := map[PhyOp]string{
-			PhyHashJoin:    "HashJoin",
-			PhyMergeJoin:   "MergeJoin",
-			PhyIndexNLJoin: "IndexNLJoin",
-		}[p.Phy]
-		pred := ""
-		if q != nil && p.Pred < len(q.Joins) {
-			jp := q.Joins[p.Pred]
-			pred = fmt.Sprintf(" on %s=%s", q.ColString(jp.L), q.ColString(jp.R))
-		}
-		fmt.Fprintf(b, "%s%s", op, pred)
+		return fmt.Sprintf("Sort %s", p.Prop)
 	}
-	fmt.Fprintf(b, "  [card=%.1f local=%.3f cost=%.3f]\n", p.Card, p.LocalCost, p.Cost)
-	p.Left.explain(q, b, depth+1)
-	p.Right.explain(q, b, depth+1)
+	var b strings.Builder
+	switch p.Phy {
+	case PhyHashJoin:
+		b.WriteString("HashJoin")
+	case PhyMergeJoin:
+		b.WriteString("MergeJoin")
+	case PhyIndexNLJoin:
+		b.WriteString("IndexNLJoin")
+	default:
+		b.WriteString(p.Phy.String())
+	}
+	if q == nil || p.Pred >= len(q.Joins) {
+		return b.String()
+	}
+	eq := func(jp JoinPred) string { return col(jp.L) + "=" + col(jp.R) }
+	keys := []string{eq(q.Joins[p.Pred])}
+	var filters []string
+	for pi, jp := range q.Joins {
+		if pi == p.Pred || !jp.Crosses(p.Left.Expr, p.Right.Expr) {
+			continue
+		}
+		if p.Phy == PhyHashJoin {
+			keys = append(keys, eq(jp))
+		} else {
+			filters = append(filters, eq(jp))
+		}
+	}
+	for _, f := range q.Filters {
+		if !(JoinPred{L: f.L, R: f.R}).Crosses(p.Left.Expr, p.Right.Expr) {
+			continue
+		}
+		s := col(f.L) + f.Op.String() + col(f.R)
+		if f.Off > 0 {
+			s += fmt.Sprintf("+%d", f.Off)
+		} else if f.Off < 0 {
+			s += fmt.Sprintf("%d", f.Off)
+		}
+		filters = append(filters, s)
+	}
+	b.WriteString(" on " + strings.Join(keys, " AND "))
+	if len(filters) > 0 {
+		b.WriteString(" filter " + strings.Join(filters, " AND "))
+	}
+	return b.String()
 }

@@ -1,6 +1,7 @@
 package relalg
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -283,5 +284,44 @@ func TestPlanHelpers(t *testing.T) {
 	cp.Left.Rel = 9
 	if join.Left.Rel == 9 {
 		t.Fatal("Clone is shallow")
+	}
+}
+
+// TestPlanLabelListsKeysAndFilters checks that a join's EXPLAIN label names
+// every equi-predicate it keys on and every predicate it checks on matched
+// pairs: a hash join keys on all crossing equi-joins (primary first), a
+// merge join on its primary alone, and both list the crossing filters.
+func TestPlanLabelListsKeysAndFilters(t *testing.T) {
+	col := func(rel, off int) ColID { return ColID{Rel: rel, Off: off} }
+	q := &Query{
+		Rels:  []RelRef{{Alias: "a", Table: "t"}, {Alias: "b", Table: "t"}},
+		Joins: []JoinPred{{L: col(0, 0), R: col(1, 0)}, {L: col(0, 1), R: col(1, 1)}},
+		Filters: []FilterPred{
+			{L: col(0, 2), R: col(1, 2), Op: CmpLT, Sel: 0.5},
+			{L: col(0, 2), R: col(1, 2), Op: CmpGT, Off: -10, Sel: 0.5},
+		},
+	}
+	leaf := func(rel int) *Plan {
+		return &Plan{Expr: Single(rel), Log: LogScan, Phy: PhyTableScan, Rel: rel}
+	}
+	join := func(phy PhyOp, pred int) *Plan {
+		return &Plan{Expr: Single(0).Add(1), Log: LogJoin, Phy: phy, Pred: pred,
+			Left: leaf(0), Right: leaf(1)}
+	}
+	for _, tc := range []struct {
+		p    *Plan
+		want string
+	}{
+		{join(PhyHashJoin, 1), "HashJoin on a.c1=b.c1 AND a.c0=b.c0 filter a.c2<b.c2 AND a.c2>b.c2-10"},
+		{join(PhyMergeJoin, 0), "MergeJoin on a.c0=b.c0 filter a.c1=b.c1 AND a.c2<b.c2 AND a.c2>b.c2-10"},
+		{join(PhyIndexNLJoin, 0), "IndexNLJoin on a.c0=b.c0 filter a.c1=b.c1 AND a.c2<b.c2 AND a.c2>b.c2-10"},
+		{leaf(1), "TableScan b"},
+	} {
+		if got := tc.p.Label(q); got != tc.want {
+			t.Fatalf("Label = %q, want %q", got, tc.want)
+		}
+		if got := tc.p.Explain(q); !strings.HasPrefix(got, tc.want+"  [") {
+			t.Fatalf("Explain = %q, want it to start with the label %q", got, tc.want)
+		}
 	}
 }
